@@ -1,8 +1,6 @@
 """Per-window MVDR beamforming with speech-speech-noise interference
 factorization and output gain adjustment."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractViolationError, ShapeError
@@ -12,68 +10,37 @@ DIAGONAL_LOADING = 1e-6
 EMPTY_TARGET_TOL = 1e-12
 
 
-@dataclass
-class SpatialCovariance:
-    """Per-frequency Hermitian covariance matrices, shape (bins, J, J)."""
+def sig_cov(window_data, masks):
+    """Spatial covariances of the masked signal, one per mask.
 
-    matrices: np.ndarray
-    window_index: int = 0
-    kind: str = "target"
-
-    def __post_init__(self):
-        self.matrices = np.asarray(self.matrices, dtype=np.complex128)
-        if self.matrices.ndim != 3 or self.matrices.shape[1] != self.matrices.shape[2]:
-            raise ShapeError("covariance matrices must be (bins, J, J)")
-
-    @property
-    def channel_count(self):
-        return self.matrices.shape[1]
-
-
-@dataclass
-class BeamformerWeights:
-    """Complex weight vectors, shape (bins, J), for one output channel."""
-
-    weights: np.ndarray
-    window_index: int = 0
-
-
-def sig_cov(window_data, mask, window_index=0, kind="target"):
-    """Spatial covariance of the masked signal.
-
-    window_data: (J, frames, bins) complex; mask: (frames, bins) in [0, 1].
-    Per frequency: Phi_f = sum_t (m x)(m x)^H / max(sum_t m^2, eps), i.e. the
-    mask is applied to the signal before the outer product. An empty mask
-    yields zero matrices.
+    window_data: (J, frames, bins) complex; masks: (..., frames, bins) in
+    [0, 1], e.g. a stack of H heads. Returns (..., bins, J, J). Per head and
+    frequency: Phi_f = sum_t (m x)(m x)^H / max(sum_t m^2, eps), i.e. the mask
+    is applied to the signal before the outer product. An empty mask yields
+    zero matrices.
     """
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != window_data.shape[1:]:
-        raise ShapeError("mask must align with window frames x bins")
-    mx = mask[np.newaxis] * window_data  # (J, T, F)
-    num = np.einsum("jtf,ktf->fjk", mx, np.conj(mx))
-    denom = np.maximum(np.sum(mask**2, axis=0), EPS)  # (F,)
-    return SpatialCovariance(
-        matrices=num / denom[:, np.newaxis, np.newaxis],
-        window_index=window_index,
-        kind=kind,
-    )
+    masks = np.asarray(masks, dtype=np.float64)
+    if masks.shape[-2:] != window_data.shape[1:]:
+        raise ShapeError("masks must align with window frames x bins")
+    m = np.swapaxes(masks, -1, -2)[..., np.newaxis, :]  # (..., F, 1, T)
+    mx = m * np.transpose(window_data, (2, 0, 1))  # (..., F, J, T)
+    num = mx @ np.conj(np.swapaxes(mx, -1, -2))  # (..., F, J, J)
+    denom = np.maximum(np.sum(masks**2, axis=-2), EPS)  # (..., F)
+    return num / denom[..., np.newaxis, np.newaxis]
 
 
 def principal_component(cov):
-    """Rank-1 reduction of a covariance: lambda_max v v^H per frequency.
+    """Rank-1 reduction of covariances (bins, J, J): lambda_max v v^H per
+    frequency.
 
     Used to denoise the target covariance before the MVDR solve: the masked
     estimate of a (near) point source is rank-1 plus estimation noise, and
     keeping only the principal eigenpair removes most of that noise.
     """
-    _require_hermitian(cov.matrices, "target")
-    vals, vecs = np.linalg.eigh(cov.matrices)
+    _require_hermitian(cov, "target")
+    vals, vecs = np.linalg.eigh(cov)
     scaled = vecs[:, :, -1] * np.sqrt(np.maximum(vals[:, -1:], 0.0))
-    return SpatialCovariance(
-        matrices=scaled[:, :, np.newaxis] * np.conj(scaled[:, np.newaxis, :]),
-        window_index=cov.window_index,
-        kind=cov.kind,
-    )
+    return scaled[:, :, np.newaxis] * np.conj(scaled[:, np.newaxis, :])
 
 
 def _require_hermitian(matrices, name):
@@ -86,15 +53,17 @@ def _require_hermitian(matrices, name):
 def mvdr_weights(target, interference, reference_index, loading=DIAGONAL_LOADING):
     """Minimum-variance distortionless-response weights per frequency.
 
-    w_f = (Psi_f^-1 Phi_f e) / tr(Psi_f^-1 Phi_f) with e selecting the
-    reference channel; Psi is diagonally loaded by `loading` * tr/J for
-    invertibility. Frequencies whose trace normalizer is below the
-    empty-target tolerance get zero weights.
+    target (Phi) and interference (Psi): (bins, J, J) Hermitian. Returns
+    (bins, J) weights w_f = (Psi_f^-1 Phi_f e) / tr(Psi_f^-1 Phi_f) with e
+    selecting the reference channel; Psi is diagonally loaded by
+    `loading` * tr/J for invertibility. Frequencies whose trace normalizer is
+    below the empty-target tolerance get zero weights.
     """
-    phi = target.matrices
-    psi = interference.matrices
+    phi, psi = np.asarray(target), np.asarray(interference)
     if phi.shape != psi.shape:
         raise ShapeError("target and interference covariance shapes differ")
+    if psi.ndim != 3 or psi.shape[1] != psi.shape[2]:
+        raise ShapeError("covariance matrices must be (bins, J, J)")
     _require_hermitian(phi, "target")
     _require_hermitian(psi, "interference")
     bins_, j, _ = psi.shape
@@ -107,23 +76,12 @@ def mvdr_weights(target, interference, reference_index, loading=DIAGONAL_LOADING
     weights = np.zeros((bins_, j), dtype=np.complex128)
     active = np.abs(denominator) >= EMPTY_TARGET_TOL
     weights[active] = numerator[active] / denominator[active, np.newaxis]
-    return BeamformerWeights(weights=weights, window_index=target.window_index)
-
-
-def ssn_interference(other_target, noise):
-    """Interference covariance as other talker plus background noise."""
-    if other_target.matrices.shape != noise.matrices.shape:
-        raise ShapeError("covariance shapes differ")
-    return SpatialCovariance(
-        matrices=other_target.matrices + noise.matrices,
-        window_index=other_target.window_index,
-        kind="interference",
-    )
+    return weights
 
 
 def apply_weights(weights, window_data):
-    """y[t, f] = w_f^H x[:, t, f]."""
-    return np.einsum("fj,jtf->tf", np.conj(weights.weights), window_data)
+    """y[t, f] = w_f^H x[:, t, f] for weights (bins, J)."""
+    return np.einsum("fj,jtf->tf", np.conj(weights), window_data)
 
 
 def gain_adjust(beamformed, mask, ref_mag):
@@ -141,38 +99,27 @@ def gain_adjust(beamformed, mask, ref_mag):
     return beamformed * np.minimum(1.0, cap)
 
 
-def beamform_window(
-    window_data,
-    mask_set,
-    reference_index,
-    window_index=0,
-    interference_mode="ssn",
-):
+def beamform_window(window_data, mask_set, reference_index, interference_mode="ssn"):
     """Beamform one window into two output channels.
 
     window_data: (J, frames, bins) complex slice of the mixture.
     interference_mode "ssn" uses Psi_i = Phi_other + Phi_noise; mode
-    "complement" uses sig_cov with the 1 - m_i mask (ablation baseline).
-    Returns (2, frames, bins) complex.
+    "complement" uses the covariance under the 1 - m_i mask (ablation
+    baseline). Returns (2, frames, bins) complex.
     """
-    phi = [
-        sig_cov(window_data, mask_set.speech[i], window_index, kind=f"target{i}")
-        for i in range(2)
-    ]
-    ref_mag = np.abs(window_data[reference_index])
-    out = np.empty((2,) + window_data.shape[1:], dtype=np.complex128)
+    speech = mask_set.speech
     if interference_mode == "ssn":
-        phi_noise = sig_cov(window_data, mask_set.noise, window_index, kind="noise")
-        psis = [ssn_interference(phi[1], phi_noise), ssn_interference(phi[0], phi_noise)]
+        phi = sig_cov(window_data, np.concatenate([speech, mask_set.noise[np.newaxis]]))
+        psis = phi[[1, 0]] + phi[2]
     elif interference_mode == "complement":
-        psis = [
-            sig_cov(window_data, 1.0 - mask_set.speech[i], window_index, kind="interference")
-            for i in range(2)
-        ]
+        phi = sig_cov(window_data, np.concatenate([speech, 1.0 - speech]))
+        psis = phi[2:]
     else:
         raise ValueError(f"unknown interference_mode {interference_mode!r}")
+    ref_mag = np.abs(window_data[reference_index])
+    out = np.empty((2,) + window_data.shape[1:], dtype=np.complex128)
     for i in range(2):
         w = mvdr_weights(principal_component(phi[i]), psis[i], reference_index)
         y = apply_weights(w, window_data)
-        out[i] = gain_adjust(y, mask_set.speech[i], ref_mag)
+        out[i] = gain_adjust(y, speech[i], ref_mag)
     return out

@@ -134,12 +134,32 @@ def _make_provider(config, spec, input_wave, plan):
             f"mask file {path} has {provider.window_count} windows, "
             f"pipeline expects {expected}"
         )
+    if provider.hop_frames != plan.hop_frames:
+        raise FormatError(
+            f"mask file {path} has a {provider.hop_frames}-frame hop, "
+            f"pipeline expects {plan.hop_frames}"
+        )
+    if provider.bins != config.stft.bins:
+        raise FormatError(
+            f"mask file {path} has {provider.bins} bins, pipeline expects "
+            f"{config.stft.bins}"
+        )
     return provider
 
 
+def _parse_overrides(pairs):
+    """Turn repeated `--set KEY=VALUE` arguments into an override dict."""
+    overrides = {}
+    for pair in pairs or []:
+        key, sep, value = pair.partition("=")
+        if not sep:
+            raise ConfigurationError(f"--set expects KEY=VALUE, got {pair!r}")
+        overrides[key] = value
+    return overrides
+
+
 def cmd_separate(args):
-    overrides = dict(kv.split("=", 1) for kv in (args.set or []))
-    config = load_pipeline_config(args.config, overrides)
+    config = load_pipeline_config(args.config, _parse_overrides(args.set))
     if args.truth_dir:
         config.truth_dir = args.truth_dir
     geometry = config.geometry()
@@ -192,19 +212,20 @@ def cmd_separate(args):
     return EXIT_OK
 
 
-def _evaluate_scene(est_dir, truth_dir, stft_config):
+def _evaluate_scene(est_dir, truth_dir, config):
     est_dir, truth_dir = Path(est_dir), Path(truth_dir)
     estimates = [read_wave(est_dir / f"out{i}.wav").samples[0] for i in (0, 1)]
     num_samples = len(estimates[0])
-    meta, _, channel_sources, _ = _load_truth(truth_dir, stft_config, num_samples)
+    meta, _, channel_sources, _ = _load_truth(truth_dir, config.stft, num_samples)
     mixture = read_wave(truth_dir / "mixture.wav")
-    ref_channel = 0
     report = best_permutation_eval(
-        estimates, channel_sources, mixture_ref=mixture.samples[ref_channel][:num_samples]
+        estimates,
+        channel_sources,
+        mixture_ref=mixture.samples[config.reference_index][:num_samples],
     )
     segments = meta["activity_samples"]
     activity = activity_frames_from_segments(
-        segments, num_samples, stft_config.hop, stft_config.window_size
+        segments, num_samples, config.stft.hop, config.stft.window_size
     )
     report.nonmixing_violation_rate = check_nonmixing(meta["assignment"], activity)
     channel_activity = [np.zeros(len(activity[0]), dtype=bool) for _ in range(2)]
@@ -225,6 +246,8 @@ def _evaluate_scene(est_dir, truth_dir, stft_config):
 def cmd_evaluate(args):
     config = load_pipeline_config(args.config) if args.config else load_pipeline_config()
     est_root, truth_root = Path(args.estimates), Path(args.truth)
+    if not est_root.is_dir():
+        raise ConfigurationError(f"estimates directory {est_root} does not exist")
     if (est_root / "out0.wav").exists():
         scene_pairs = [("scene", est_root, truth_root)]
     else:
@@ -240,7 +263,7 @@ def cmd_evaluate(args):
     reports = {}
     failed_invariant = False
     for name, est_dir, truth_dir in scene_pairs:
-        report = _evaluate_scene(est_dir, truth_dir, config.stft)
+        report = _evaluate_scene(est_dir, truth_dir, config)
         reports[name] = report
         if report.nonmixing_violation_rate and report.nonmixing_violation_rate > 0:
             failed_invariant = True
@@ -258,8 +281,7 @@ def cmd_evaluate(args):
 
 
 def cmd_print_config(args):
-    overrides = dict(kv.split("=", 1) for kv in (args.set or []))
-    config = load_pipeline_config(args.config, overrides)
+    config = load_pipeline_config(args.config, _parse_overrides(args.set))
     sys.stdout.write(pipeline_config_text(config))
     return EXIT_OK
 

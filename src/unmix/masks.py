@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beamformer import sig_cov
 from .errors import NoSignalError, ShapeError
 from .signal_io import SPEED_OF_SOUND, read_mask_file
 
@@ -20,7 +21,6 @@ class MaskSet:
 
     speech: np.ndarray
     noise: np.ndarray
-    window_index: int = 0
 
     def __post_init__(self):
         self.speech = np.asarray(self.speech, dtype=np.float64)
@@ -43,17 +43,15 @@ class MaskSet:
         return MaskSet(
             speech=self.speech[list(permutation)].copy(),
             noise=self.noise.copy(),
-            window_index=self.window_index,
         )
 
 
-def oracle_masks(mixture, sources, noise, plan=None):
+def oracle_masks(mixture, sources, noise):
     """Ideal ratio masks from ground-truth reference-microphone signals.
 
     mixture, sources (pair) and noise are Spectrograms aligned on the same
     frame grid; sources and noise are the per-output-channel images at the
-    reference microphone. Returns one full-length MaskSet, or a list of
-    per-window MaskSets when a WindowPlan is given.
+    reference microphone. Returns one full-length MaskSet.
     """
     if len(sources) != 2:
         raise ShapeError("expected exactly two source spectrograms")
@@ -63,24 +61,10 @@ def oracle_masks(mixture, sources, noise, plan=None):
         if m.shape != (mixture.frame_count, mixture.bins):
             raise ShapeError("source/noise shape does not match the mixture")
     total = mags[0] + mags[1] + noise_mag + EPS
-    full = MaskSet(
+    return MaskSet(
         speech=np.stack([mags[0] / total, mags[1] / total]),
         noise=noise_mag / total,
-        window_index=0,
     )
-    if plan is None:
-        return full
-    from .stitcher import plan_windows
-
-    windows = plan_windows(mixture.frame_count, plan)
-    return [
-        MaskSet(
-            speech=full.speech[:, s:e].copy(),
-            noise=full.noise[s:e].copy(),
-            window_index=c,
-        )
-        for c, (s, e) in enumerate(windows)
-    ]
 
 
 def normalize_masks(mask_set):
@@ -95,7 +79,7 @@ def normalize_masks(mask_set):
     noise = mask_set.noise / safe_total
     speech = np.where(degenerate[np.newaxis], 1.0 / 3.0, speech)
     noise = np.where(degenerate, 1.0 / 3.0, noise)
-    return MaskSet(speech=speech, noise=noise, window_index=mask_set.window_index)
+    return MaskSet(speech=speech, noise=noise)
 
 
 def steering_vectors(geometry, frequencies, azimuths_deg):
@@ -116,32 +100,32 @@ def steering_vectors(geometry, frequencies, azimuths_deg):
     return np.exp(phase)
 
 
-def estimate_doa(mask, spec, geometry, grid_deg=1.0, f_min=300.0, f_max=4000.0):
-    """Estimate the azimuth of the source selected by `mask`.
+def estimate_doa(masks, spec, geometry, grid_deg=1.0, f_min=300.0, f_max=4000.0):
+    """Estimate the azimuth of the source selected by each mask.
 
+    masks: (frames, bins), or a stack (..., frames, bins) of such masks.
     Per frequency bin: mask-weighted spatial covariance, principal
     eigenvector, then matching against a grid of far-field steering vectors;
     match scores are summed over 300-4000 Hz and the argmax azimuth returned
-    in [0, 360).
+    in [0, 360): a float for one mask, an array of the leading shape for a
+    stack.
     """
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != (spec.frame_count, spec.bins):
+    masks = np.asarray(masks, dtype=np.float64)
+    if masks.shape[-2:] != (spec.frame_count, spec.bins):
         raise ShapeError("mask must be frames x bins aligned with the spectrogram")
-    if np.sum(mask) < EPS:
+    if np.any(np.sum(masks, axis=(-2, -1)) < EPS):
         raise NoSignalError("all-zero mask carries no direction information")
     freqs = spec.bin_frequencies()
     band = (freqs >= f_min) & (freqs <= f_max)
-    x = spec.data[:, :, band]  # (J, T, Fb)
-    m = mask[:, band]
-    mx = m[np.newaxis] * x
-    cov = np.einsum("jtf,ktf->fjk", mx, np.conj(mx))  # (Fb, J, J)
+    cov = sig_cov(spec.data[:, :, band], masks[..., band])  # (..., Fb, J, J)
     _, vecs = np.linalg.eigh(cov)
-    principal = vecs[:, :, -1]  # (Fb, J)
+    principal = vecs[..., -1]  # (..., Fb, J)
     azimuths = np.arange(0.0, 360.0, grid_deg)
     steer = steering_vectors(geometry, freqs[band], azimuths)  # (A, Fb, J)
     steer = steer / np.sqrt(steer.shape[2])
-    scores = np.abs(np.einsum("afj,fj->af", np.conj(steer), principal)) ** 2
-    return float(azimuths[np.argmax(scores.sum(axis=1))])
+    scores = np.abs(np.einsum("afj,...fj->...af", np.conj(steer), principal)) ** 2
+    doa = azimuths[np.argmax(scores.sum(axis=-1), axis=-1)]
+    return float(doa) if doa.ndim == 0 else doa
 
 
 def circular_difference_deg(a, b):
@@ -159,18 +143,14 @@ def merge_heads_if_same_doa(mask_set, spec, geometry, threshold_deg=15.0):
     masses = [float(np.sum(mask_set.speech[i])) for i in range(2)]
     if min(masses) < EPS:
         return mask_set
-    doas = [
-        estimate_doa(mask_set.speech[i], spec, geometry) for i in range(2)
-    ]
+    doas = estimate_doa(mask_set.speech, spec, geometry)
     if circular_difference_deg(doas[0], doas[1]) >= threshold_deg:
         return mask_set
     dominant = 0 if masses[0] >= masses[1] else 1
     merged = np.clip(mask_set.speech[0] + mask_set.speech[1], 0.0, 1.0)
     speech = np.zeros_like(mask_set.speech)
     speech[dominant] = merged
-    return MaskSet(
-        speech=speech, noise=mask_set.noise.copy(), window_index=mask_set.window_index
-    )
+    return MaskSet(speech=speech, noise=mask_set.noise.copy())
 
 
 class OracleMaskProvider:
@@ -189,7 +169,6 @@ class OracleMaskProvider:
         return MaskSet(
             speech=self._full.speech[:, start:end].copy(),
             noise=self._full.noise[start:end].copy(),
-            window_index=window_index,
         )
 
 

@@ -116,7 +116,6 @@ def check_nonmixing(assignment, activity):
     for a in activity:
         if len(a) != n:
             raise ShapeError("activity arrays must share one length")
-    channels = set()
     for k in assignment:
         if not 0 <= k < len(activity):
             raise ValueError(f"assignment references unknown utterance {k}")
@@ -171,9 +170,8 @@ def activity_frames_from_segments(segments, num_samples, hop, window_size):
     for start, end in segments:
         active = np.zeros(frames, dtype=bool)
         if end > start:
-            for t in range(frames):
-                lo, hi = t * hop, t * hop + window_size
-                if lo < end and hi > start:
-                    active[t] = True
+            first = max((start - window_size) // hop + 1, 0)  # first t: t*hop + W > start
+            stop = max(-(-end // hop), 0)  # first t with t*hop >= end
+            active[int(first) : int(stop)] = True
         out.append(active)
     return out

@@ -180,7 +180,6 @@ def read_mask_file(path):
         MaskSet(
             speech=data[c, :2].astype(np.float64),
             noise=data[c, 2].astype(np.float64),
-            window_index=c,
         )
         for c in range(windows)
     ]

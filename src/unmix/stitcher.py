@@ -33,7 +33,7 @@ class WindowPlan:
 class StitchState:
     """Running permutation alignment across windows."""
 
-    cumulative_permutation: tuple = (0, 1)
+    permutation: tuple = (0, 1)  # applied to the latest window's provider heads
     previous_masked_mags: np.ndarray = None  # (2, window_frames, bins)
     previous_range: tuple = None
     frames_emitted: int = 0
@@ -101,7 +101,7 @@ def align_and_emit(state, window_masks, window_ref_mag, window_range):
         emit = (prev_end, end)
     permuted = window_masks.permuted(permutation)
     new_state = StitchState(
-        cumulative_permutation=permutation,
+        permutation=permutation,
         previous_masked_mags=masked[list(permutation)],
         previous_range=window_range,
         frames_emitted=state.frames_emitted + (emit[1] - emit[0]),
@@ -151,11 +151,7 @@ def run_pipeline(
             window_out = permuted.speech * window_data[ref][np.newaxis]
         else:
             window_out = beamform_window(
-                window_data,
-                permuted,
-                ref,
-                window_index=c,
-                interference_mode=interference_mode,
+                window_data, permuted, ref, interference_mode=interference_mode
             )
         out[:, emit_lo:emit_hi] = window_out[:, emit_lo - start : emit_hi - start]
     streams = [

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from unmix.beamformer import mvdr_weights, SpatialCovariance
+from unmix.beamformer import mvdr_weights
 from unmix.cli import main as cli_main
 from unmix.dereverb import wpe_block
 from unmix.masks import (
@@ -180,9 +180,7 @@ class TestCriterion2Mvdr:
         a = rng.standard_normal((257, 7, 7)) + 1j * rng.standard_normal((257, 7, 7))
         psi = a @ np.conj(np.swapaxes(a, 1, 2)) + 0.1 * np.eye(7)
 
-        w = mvdr_weights(
-            SpatialCovariance(phi), SpatialCovariance(psi), reference_index=0
-        ).weights
+        w = mvdr_weights(phi, psi, reference_index=0)
         response = np.einsum("fj,fj->f", np.conj(w), d)
         distortion = float(np.max(np.abs(response - d[:, 0])))
         assert distortion < 1e-6
@@ -195,12 +193,8 @@ class TestCriterion2Mvdr:
             closed_err = max(closed_err, float(np.max(np.abs(w[f] - closed))))
         assert closed_err < 1e-5
 
-        w_phi = mvdr_weights(
-            SpatialCovariance(7.3 * phi), SpatialCovariance(psi), 0
-        ).weights
-        w_psi = mvdr_weights(
-            SpatialCovariance(phi), SpatialCovariance(0.2 * psi), 0
-        ).weights
+        w_phi = mvdr_weights(7.3 * phi, psi, 0)
+        w_psi = mvdr_weights(phi, 0.2 * psi, 0)
         scale_err = max(
             float(np.max(np.abs(w_phi - w))), float(np.max(np.abs(w_psi - w)))
         )

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unmix.beamformer import (
-    SpatialCovariance,
     apply_weights,
     beamform_window,
     gain_adjust,
     mvdr_weights,
     principal_component,
     sig_cov,
-    ssn_interference,
 )
-from unmix.errors import ContractViolationError, ShapeError
+from unmix.errors import ContractViolationError
 from unmix.masks import MaskSet, steering_vectors
 from unmix.signal_io import circular_array
 from unmix.stft import StftConfig
@@ -29,14 +29,14 @@ class TestSigCov:
         spec = plane_wave_spectrogram(geometry, 20.0, frames=120)
         mask = np.ones((spec.frame_count, spec.bins))
         cov = sig_cov(spec.data, mask)
-        eigvals = np.linalg.eigvalsh(cov.matrices)
+        eigvals = np.linalg.eigvalsh(cov)
         ratio = eigvals[:, -1] / np.maximum(np.abs(eigvals[:, -2]), 1e-300)
         assert np.all(ratio > 100.0)
 
     def test_empty_mask_gives_zero(self, geometry):
         spec = plane_wave_spectrogram(geometry, 0.0, frames=30)
         cov = sig_cov(spec.data, np.zeros((spec.frame_count, spec.bins)))
-        assert np.all(cov.matrices == 0.0)
+        assert np.all(cov == 0.0)
 
     def test_matches_naive_accumulation(self, rng, geometry):
         spec = plane_wave_spectrogram(geometry, 10.0, frames=20)
@@ -44,30 +44,32 @@ class TestSigCov:
             rng.standard_normal(spec.data.shape)
             + 1j * rng.standard_normal(spec.data.shape)
         )
-        mask = rng.uniform(0, 1, (spec.frame_count, spec.bins))
-        cov = sig_cov(data, mask)
         j = data.shape[0]
-        for f in [0, 57, 256]:
-            acc = np.zeros((j, j), dtype=np.complex128)
-            norm = 0.0
-            for t in range(spec.frame_count):
-                v = mask[t, f] * data[:, t, f]
-                acc += np.outer(v, np.conj(v))
-                norm += mask[t, f] ** 2
-            expected = acc / max(norm, 1e-10)
-            assert np.max(np.abs(cov.matrices[f] - expected)) < 1e-10
+        for stack in [(), (3,)]:  # one mask, then a stack of three heads
+            masks = rng.uniform(0, 1, stack + (spec.frame_count, spec.bins))
+            cov = sig_cov(data, masks)
+            assert cov.shape == stack + (spec.bins, j, j)
+            for h in np.ndindex(stack):
+                mask = masks[h]
+                for f in [0, 57, 256]:
+                    acc = np.zeros((j, j), dtype=np.complex128)
+                    norm = 0.0
+                    for t in range(spec.frame_count):
+                        v = mask[t, f] * data[:, t, f]
+                        acc += np.outer(v, np.conj(v))
+                        norm += mask[t, f] ** 2
+                    expected = acc / max(norm, 1e-10)
+                    assert np.max(np.abs(cov[h][f] - expected)) < 1e-10
 
     def test_outputs_hermitian_psd(self, rng, geometry):
         data = rng.standard_normal((7, 15, 257)) + 1j * rng.standard_normal((7, 15, 257))
-        mask = rng.uniform(0, 1, (15, 257))
-        cov = sig_cov(data, mask)
-        herm_err = np.max(
-            np.abs(cov.matrices - np.conj(np.swapaxes(cov.matrices, 1, 2)))
-        )
-        assert herm_err < 1e-10
-        eigvals = np.linalg.eigvalsh(cov.matrices)
-        traces = np.real(np.trace(cov.matrices, axis1=1, axis2=2))
-        assert np.all(eigvals[:, 0] >= -1e-8 * np.maximum(traces, 1e-30))
+        for stack in [(), (3,)]:
+            cov = sig_cov(data, rng.uniform(0, 1, stack + (15, 257)))
+            herm_err = np.max(np.abs(cov - np.conj(np.swapaxes(cov, -1, -2))))
+            assert herm_err < 1e-10
+            eigvals = np.linalg.eigvalsh(cov)
+            traces = np.real(np.trace(cov, axis1=-2, axis2=-1))
+            assert np.all(eigvals[..., 0] >= -1e-8 * np.maximum(traces, 1e-30))
 
 
 class TestMvdrWeights:
@@ -83,9 +85,7 @@ class TestMvdrWeights:
     def test_distortionless_and_matches_closed_form(self, rng):
         r = 0
         d, phi, psi = self._rank_one_setup(rng)
-        w = mvdr_weights(
-            SpatialCovariance(phi), SpatialCovariance(psi), reference_index=r
-        ).weights
+        w = mvdr_weights(phi, psi, reference_index=r)
         response = np.einsum("fj,fj->f", np.conj(w), d)
         assert np.max(np.abs(response - d[:, r])) < 1e-6
         # independent textbook rank-1 MVDR: Psi^-1 d / (d^H Psi^-1 d) * d_R,
@@ -98,10 +98,8 @@ class TestMvdrWeights:
 
     def test_zero_target_gives_zero_weights(self, rng):
         psi = random_psd(rng, 4, 8)
-        w = mvdr_weights(
-            SpatialCovariance(np.zeros_like(psi)), SpatialCovariance(psi), 0
-        )
-        assert np.all(w.weights == 0.0)
+        w = mvdr_weights(np.zeros_like(psi), psi, 0)
+        assert np.all(w == 0.0)
 
     def test_two_by_two_symbolic_oracle(self):
         # hand-set Hermitian matrices, explicit 2x2 inverse arithmetic
@@ -114,18 +112,14 @@ class TestMvdrWeights:
         p_inv = np.array([[p[1, 1], -p[0, 1]], [-p[1, 0], p[0, 0]]]) / det
         z = p_inv @ phi[0]
         expected = z[:, 0] / np.trace(z)
-        w = mvdr_weights(SpatialCovariance(phi), SpatialCovariance(psi), 0).weights
+        w = mvdr_weights(phi, psi, 0)
         assert np.max(np.abs(w[0] - expected)) < 1e-12
 
     def test_scale_invariances(self, rng):
         d, phi, psi = self._rank_one_setup(rng)
-        base = mvdr_weights(SpatialCovariance(phi), SpatialCovariance(psi), 0).weights
-        phi_scaled = mvdr_weights(
-            SpatialCovariance(7.3 * phi), SpatialCovariance(psi), 0
-        ).weights
-        psi_scaled = mvdr_weights(
-            SpatialCovariance(phi), SpatialCovariance(0.2 * psi), 0
-        ).weights
+        base = mvdr_weights(phi, psi, 0)
+        phi_scaled = mvdr_weights(7.3 * phi, psi, 0)
+        psi_scaled = mvdr_weights(phi, 0.2 * psi, 0)
         assert np.max(np.abs(phi_scaled - base)) < 1e-8
         assert np.max(np.abs(psi_scaled - base)) < 1e-8
 
@@ -134,56 +128,49 @@ class TestMvdrWeights:
         bad = psi.copy()
         bad[0, 0, 1] += 1.0
         with pytest.raises(ContractViolationError):
-            mvdr_weights(SpatialCovariance(bad), SpatialCovariance(psi), 0)
+            mvdr_weights(bad, psi, 0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        j=st.integers(2, 7),
+        reference=st.integers(0, 6),
+        rank=st.integers(1, 14),
+        azimuth=st.floats(0.0, 360.0, exclude_max=True),
+    )
+    def test_distortionless_for_random_psd_interference(
+        self, seed, j, reference, rank, azimuth
+    ):
+        rng = np.random.default_rng(seed)
+        r = reference % j
+        geometry = circular_array(channels=j, center_mic=False)
+        d = steering_vectors(geometry, np.linspace(100, 8000, 16), [azimuth])[0]
+        a = rng.standard_normal((16, j, rank)) + 1j * rng.standard_normal((16, j, rank))
+        psi = a @ np.conj(np.swapaxes(a, 1, 2))  # Hermitian PSD, singular if rank < j
+        phi = d[:, :, None] * np.conj(d[:, None, :])
+        w = mvdr_weights(phi, psi, reference_index=r)
+        response = np.einsum("fj,fj->f", np.conj(w), d)
+        assert np.max(np.abs(response - d[:, r])) < 1e-8
 
 
 class TestPrincipalComponent:
     def test_rank_one_input_unchanged(self, rng):
         v = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        cov = SpatialCovariance(v[:, :, None] * np.conj(v[:, None, :]))
+        cov = v[:, :, None] * np.conj(v[:, None, :])
         out = principal_component(cov)
-        assert np.max(np.abs(out.matrices - cov.matrices)) < 1e-10
+        assert np.max(np.abs(out - cov)) < 1e-10
 
     def test_keeps_largest_eigenpair(self, rng):
-        cov = SpatialCovariance(random_psd(rng, 5, 8))
+        cov = random_psd(rng, 5, 8)
         out = principal_component(cov)
         for f in range(8):
-            vals, vecs = np.linalg.eigh(cov.matrices[f])
+            vals, vecs = np.linalg.eigh(cov[f])
             expected = vals[-1] * np.outer(vecs[:, -1], np.conj(vecs[:, -1]))
-            assert np.max(np.abs(out.matrices[f] - expected)) < 1e-10
+            assert np.max(np.abs(out[f] - expected)) < 1e-10
 
     def test_zero_input_stays_zero(self):
-        cov = SpatialCovariance(np.zeros((3, 4, 4)))
-        out = principal_component(cov)
-        assert np.all(out.matrices == 0.0)
-
-
-class TestSsnInterference:
-    def test_zero_noise(self, rng):
-        other = random_psd(rng, 3, 4)
-        psi = ssn_interference(
-            SpatialCovariance(other), SpatialCovariance(np.zeros_like(other))
-        )
-        np.testing.assert_array_equal(psi.matrices, other)
-
-    def test_zero_other_talker(self, rng):
-        noise = random_psd(rng, 3, 4)
-        psi = ssn_interference(
-            SpatialCovariance(np.zeros_like(noise)), SpatialCovariance(noise)
-        )
-        np.testing.assert_array_equal(psi.matrices, noise)
-
-    def test_elementwise_sum(self, rng):
-        a, b = random_psd(rng, 3, 4), random_psd(rng, 3, 4)
-        psi = ssn_interference(SpatialCovariance(a), SpatialCovariance(b))
-        np.testing.assert_array_equal(psi.matrices, a + b)
-
-    def test_shape_mismatch_raises(self, rng):
-        with pytest.raises(ShapeError):
-            ssn_interference(
-                SpatialCovariance(random_psd(rng, 3, 4)),
-                SpatialCovariance(random_psd(rng, 4, 4)),
-            )
+        out = principal_component(np.zeros((3, 4, 4)))
+        assert np.all(out == 0.0)
 
 
 class TestGainAdjust:
@@ -251,10 +238,8 @@ class TestBeamformWindow:
 
     def test_apply_weights_matches_manual(self, rng):
         data = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
-        from unmix.beamformer import BeamformerWeights
-
         w = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        out = apply_weights(BeamformerWeights(w), data)
+        out = apply_weights(w, data)
         for t in range(4):
             for f in range(5):
                 assert abs(out[t, f] - np.conj(w[f]) @ data[:, t, f]) < 1e-12

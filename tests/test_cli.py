@@ -5,7 +5,8 @@ import pytest
 
 from unmix.cli import EXIT_DATA, EXIT_OK, main
 from unmix.masks import MaskSet
-from unmix.signal_io import read_wave, write_mask_file
+from unmix.metrics import best_permutation_eval
+from unmix.signal_io import MultichannelWave, read_wave, write_mask_file, write_wave
 
 SCENE = """
 room_dim = 6.0 5.0 3.0
@@ -147,6 +148,36 @@ class TestSeparate:
         )
         assert code == EXIT_DATA
 
+    def test_file_provider_geometry_mismatch_is_data_error(self, tmp_path, rng):
+        scene = _simulate(tmp_path)
+        # the 4 s scene has 249 frames: hop 38 and hop 40 both give 4 windows
+        for hop, bins_ in ((40, 257), (38, 129)):
+            mask_path = tmp_path / f"masks_{hop}_{bins_}.umxm"
+            sets = [
+                MaskSet(
+                    speech=rng.uniform(0, 1, (2, 150, bins_)),
+                    noise=rng.uniform(0, 1, (150, bins_)),
+                )
+                for _ in range(4)
+            ]
+            write_mask_file(mask_path, sets, hop_frames=hop)
+            code = main(
+                [
+                    "separate",
+                    str(scene / "mixture.wav"),
+                    str(tmp_path / "sep"),
+                    "--set",
+                    f"mask_provider=file:{mask_path}",
+                ]
+            )
+            assert code == EXIT_DATA, (hop, bins_)
+
+    def test_set_without_equals_is_data_error(self, tmp_path):
+        code = main(
+            ["separate", str(tmp_path / "in.wav"), str(tmp_path / "sep"), "--set", "foo"]
+        )
+        assert code == EXIT_DATA
+
     def test_file_provider_runs(self, tmp_path):
         scene = _simulate(tmp_path)
         sep_oracle = tmp_path / "sep_oracle"
@@ -256,6 +287,40 @@ class TestEvaluate:
         empty.mkdir()
         assert main(["evaluate", str(empty), str(scene)]) == EXIT_DATA
 
+    def test_nonexistent_estimates_dir_is_data_error(self, tmp_path):
+        scene = _simulate(tmp_path)
+        assert main(["evaluate", str(tmp_path / "absent"), str(scene)]) == EXIT_DATA
+
+    def test_improvement_uses_configured_reference_channel(self, tmp_path):
+        scene = _simulate(tmp_path)
+        mixture = read_wave(scene / "mixture.wav").samples
+        est = tmp_path / "est"
+        est.mkdir()
+        for i in (0, 1):
+            write_wave(
+                MultichannelWave(mixture[1 + i], 16000), est / f"out{i}.wav", dtype="float32"
+            )
+        config = tmp_path / "pipeline.cfg"
+        config.write_text("reference_index = 3\n")
+        assert main(["evaluate", str(est), str(scene), "--config", str(config)]) == EXIT_OK
+        report = json.loads((est / "report.json").read_text())
+
+        from unmix.cli import _load_truth
+        from unmix.config import load_pipeline_config
+
+        estimates = [read_wave(est / f"out{i}.wav").samples[0] for i in (0, 1)]
+        n = len(estimates[0])
+        stft = load_pipeline_config().stft
+        references = _load_truth(scene, stft, n)[2]
+        expected = {
+            ref: best_permutation_eval(
+                estimates, references, mixture_ref=mixture[ref, :n]
+            ).si_sdr_improvement
+            for ref in (0, 3)
+        }
+        assert expected[3] != pytest.approx(expected[0])
+        assert report["si_sdr_improvement"] == pytest.approx(expected[3])
+
 
 class TestPrintConfig:
     def test_default_round_trips(self, tmp_path, capsys):
@@ -272,6 +337,10 @@ class TestPrintConfig:
 
     def test_unknown_key_is_data_error(self):
         assert main(["print-config", "--set", "modes=beamforming"]) == EXIT_DATA
+
+    def test_set_without_equals_is_data_error(self, capsys):
+        assert main(["print-config", "--set", "foo"]) == EXIT_DATA
+        assert capsys.readouterr().err.strip().count("\n") == 0
 
 
 class TestUsage:

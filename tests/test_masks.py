@@ -209,12 +209,14 @@ class TestMergeHeads:
             ),
             noise=np.zeros((spec.frame_count, spec.bins)),
         )
-        doas = iter([10.0, 25.0])  # difference exactly 15 degrees
-        monkeypatch.setattr(
-            "unmix.masks.estimate_doa", lambda *a, **k: next(doas)
+        calls = []
+        monkeypatch.setattr(  # difference exactly 15 degrees
+            "unmix.masks.estimate_doa",
+            lambda *a, **k: calls.append(a) or np.array([10.0, 25.0]),
         )
         out = merge_heads_if_same_doa(mset, spec, geometry, threshold_deg=15.0)
         np.testing.assert_array_equal(out.speech, mset.speech)
+        assert len(calls) == 1
 
     def test_single_empty_head_left_unmerged(self, geometry):
         spec = plane_wave_spectrogram(geometry, 0.0, frames=20)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unmix.errors import ShapeError, UndefinedMetricError
 from unmix.metrics import (
@@ -202,3 +204,27 @@ class TestActivityFrames:
     def test_empty_segment_inactive(self):
         frames = activity_frames_from_segments([(5, 5)], 20, 4, 8)
         assert not frames[0].any()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hop=st.integers(1, 64),
+        extra=st.integers(0, 64),
+        frames=st.integers(1, 40),
+        data=st.data(),
+    )
+    def test_matches_per_frame_loop(self, hop, extra, frames, data):
+        window_size = hop + extra
+        num_samples = window_size + (frames - 1) * hop + data.draw(st.integers(0, hop - 1))
+        bound = num_samples + 2 * window_size
+        segments = data.draw(
+            st.lists(st.tuples(st.integers(0, bound), st.integers(0, bound)), max_size=4)
+        )
+        out = activity_frames_from_segments(segments, num_samples, hop, window_size)
+        assert len(out) == len(segments)
+        for (start, end), active in zip(segments, out):
+            expected = np.zeros(frames, dtype=bool)
+            if end > start:
+                for t in range(frames):
+                    lo, hi = t * hop, t * hop + window_size
+                    expected[t] = lo < end and hi > start
+            np.testing.assert_array_equal(active, expected)

@@ -71,12 +71,11 @@ def test_unwritable_path_raises(tmp_path):
 
 def _random_mask_sets(rng, windows=4, frames=150, bins=257):
     sets = []
-    for c in range(windows):
+    for _ in range(windows):
         sets.append(
             MaskSet(
                 speech=rng.uniform(0, 1, size=(2, frames, bins)),
                 noise=rng.uniform(0, 1, size=(frames, bins)),
-                window_index=c,
             )
         )
     return sets

@@ -123,7 +123,7 @@ class TestAlignAndEmit:
             StitchState(), mset, np.ones((150, 257)), (0, 150)
         )
         assert emit == (0, 150)
-        assert state.cumulative_permutation == (0, 1)
+        assert state.permutation == (0, 1)
         np.testing.assert_array_equal(permuted.speech, mset.speech)
 
     def test_swap_detected(self, rng):
@@ -138,7 +138,7 @@ class TestAlignAndEmit:
         ).permuted((1, 0))
         next_ref = np.concatenate([ref_mag[38:], rng.uniform(0.5, 1, (38, 257))])
         state2, emit, permuted = align_and_emit(state, next_mset, next_ref, (38, 188))
-        assert state2.cumulative_permutation == (1, 0)
+        assert state2.permutation == (1, 0)
         assert emit == (150, 188)
         np.testing.assert_array_equal(permuted.speech, next_mset.speech[::-1])
 
@@ -154,7 +154,7 @@ class TestAlignAndEmit:
         )
         next_ref = np.concatenate([ref_mag[38:], rng.uniform(0.5, 1, (38, 257))])
         state2, _, _ = align_and_emit(state, next_mset, next_ref, (38, 188))
-        assert state2.cumulative_permutation == (0, 1)
+        assert state2.permutation == (0, 1)
 
     def test_equal_costs_tie_break_identity(self, rng):
         speech = rng.uniform(0, 1, (1, 150, 257)).repeat(2, axis=0)
@@ -162,7 +162,7 @@ class TestAlignAndEmit:
         ref_mag = np.ones((150, 257))
         state, _, _ = align_and_emit(StitchState(), mset, ref_mag, (0, 150))
         state2, _, _ = align_and_emit(state, mset, ref_mag, (38, 188))
-        assert state2.cumulative_permutation == (0, 1)
+        assert state2.permutation == (0, 1)
 
 
 class TestRunPipeline:
