@@ -19,7 +19,7 @@ from .config import (
     pipeline_config_text,
 )
 from .dereverb import wpe_stream
-from .errors import ConfigurationError, FormatError, GeometryError, UnmixError
+from .errors import ConfigurationError, FormatError, InputError, UnmixError
 from .masks import FileMaskProvider, OracleMaskProvider
 from .metrics import (
     activity_frames_from_segments,
@@ -49,6 +49,12 @@ def cmd_simulate(args):
     for k in range(len(scene.source_positions)):
         if args.source_wav and k < len(args.source_wav):
             wave = read_wave(args.source_wav[k])
+            # make_mixture renders at its default 16 kHz
+            if wave.sample_rate != 16000 or wave.channel_count != 1:
+                raise FormatError(
+                    f"source WAV {args.source_wav[k]} must be mono at 16000 Hz, "
+                    f"got {wave.channel_count} channels at {wave.sample_rate} Hz"
+                )
             sources.append(wave.samples[0])
         else:
             length = scene.duration * (0.8 if k == 0 else 0.5)
@@ -90,7 +96,7 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _load_truth(truth_dir, stft_config, num_samples):
+def _load_truth(truth_dir, num_samples):
     truth_dir = Path(truth_dir)
     meta_path = truth_dir / "truth.json"
     if not meta_path.exists():
@@ -118,7 +124,7 @@ def _make_provider(config, spec, input_wave, plan):
                 "oracle mask provider requires truth_dir pointing at simulate output"
             )
         _, _, channel_sources, noise = _load_truth(
-            config.truth_dir, config.stft, input_wave.samples.shape[1]
+            config.truth_dir, input_wave.samples.shape[1]
         )
         rate = input_wave.sample_rate
         source_specs = [
@@ -128,22 +134,16 @@ def _make_provider(config, spec, input_wave, plan):
         return OracleMaskProvider(spec, source_specs, noise_spec)
     path = config.mask_provider[len("file:") :]
     provider = FileMaskProvider(path)
-    expected = len(plan_windows(spec.frame_count, plan))
-    if provider.window_count != expected:
-        raise FormatError(
-            f"mask file {path} has {provider.window_count} windows, "
-            f"pipeline expects {expected}"
-        )
-    if provider.hop_frames != plan.hop_frames:
-        raise FormatError(
-            f"mask file {path} has a {provider.hop_frames}-frame hop, "
-            f"pipeline expects {plan.hop_frames}"
-        )
-    if provider.bins != config.stft.bins:
-        raise FormatError(
-            f"mask file {path} has {provider.bins} bins, pipeline expects "
-            f"{config.stft.bins}"
-        )
+    for what, found, expected in (
+        ("windows", provider.window_count, len(plan_windows(spec.frame_count, plan))),
+        ("hop_frames", provider.hop_frames, plan.hop_frames),
+        ("frames per window", provider.window_frames, plan.window_frames),
+        ("bins", provider.bins, config.stft.bins),
+    ):
+        if found != expected:
+            raise FormatError(
+                f"mask file {path} has {what} = {found}, pipeline expects {expected}"
+            )
     return provider
 
 
@@ -152,16 +152,17 @@ def _parse_overrides(pairs):
     overrides = {}
     for pair in pairs or []:
         key, sep, value = pair.partition("=")
-        if not sep:
+        if not (sep and key and value):
             raise ConfigurationError(f"--set expects KEY=VALUE, got {pair!r}")
         overrides[key] = value
     return overrides
 
 
 def cmd_separate(args):
-    config = load_pipeline_config(args.config, _parse_overrides(args.set))
+    overrides = _parse_overrides(args.set)
     if args.truth_dir:
-        config.truth_dir = args.truth_dir
+        overrides["truth_dir"] = args.truth_dir
+    config = load_pipeline_config(args.config, overrides)
     geometry = config.geometry()
     input_wave = read_wave(args.input)
     if input_wave.channel_count != geometry.channel_count:
@@ -216,7 +217,7 @@ def _evaluate_scene(est_dir, truth_dir, config):
     est_dir, truth_dir = Path(est_dir), Path(truth_dir)
     estimates = [read_wave(est_dir / f"out{i}.wav").samples[0] for i in (0, 1)]
     num_samples = len(estimates[0])
-    meta, _, channel_sources, _ = _load_truth(truth_dir, config.stft, num_samples)
+    meta, _, channel_sources, _ = _load_truth(truth_dir, num_samples)
     mixture = read_wave(truth_dir / "mixture.wav")
     report = best_permutation_eval(
         estimates,
@@ -244,7 +245,7 @@ def _evaluate_scene(est_dir, truth_dir, config):
 
 
 def cmd_evaluate(args):
-    config = load_pipeline_config(args.config) if args.config else load_pipeline_config()
+    config = load_pipeline_config(args.config)
     est_root, truth_root = Path(args.estimates), Path(args.truth)
     if not est_root.is_dir():
         raise ConfigurationError(f"estimates directory {est_root} does not exist")
@@ -334,12 +335,10 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigurationError, FormatError, GeometryError) as exc:
-        log.error("%s", exc)
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except UnmixError as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -18,8 +18,12 @@ def parse_kv_file(path):
     Repeated keys collect into a list. Raises FormatError with the offending
     line number on malformed input.
     """
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
     values = {}
-    with open(path) as fh:
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -125,6 +129,15 @@ class PipelineConfig:
     doa_merge_threshold_deg: float = 15.0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.mode not in ("masking", "beamforming"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mask_provider != "oracle" and not self.mask_provider.startswith("file:"):
+            raise ValueError(
+                f"mask_provider must be 'oracle' or 'file:<path>', got {self.mask_provider!r}"
+            )
+        self.geometry()  # ArrayGeometry checks reference_index
+
     def geometry(self):
         geo = circular_array(radius=self.array_radius)
         return ArrayGeometry(
@@ -132,6 +145,18 @@ class PipelineConfig:
         )
 
 
+def _bool(text):
+    value = text.lower()
+    if value in ("1", "true", "on", "yes"):
+        return True
+    if value in ("0", "false", "off", "no"):
+        return False
+    raise ValueError(f"expected true/false, 1/0, on/off or yes/no, got {text!r}")
+
+
+SECTIONS = {"stft": StftConfig, "plan": WindowPlan, "wpe": WpeConfig}
+
+# key -> (section, attribute, conversion); also the rendering order.
 PIPELINE_KEYS = {
     "fft_size": ("stft", "fft_size", int),
     "window_size": ("stft", "window_size", int),
@@ -141,7 +166,7 @@ PIPELINE_KEYS = {
     "mask_provider": (None, "mask_provider", str),
     "truth_dir": (None, "truth_dir", str),
     "mode": (None, "mode", str),
-    "dereverb": (None, "dereverb", lambda v: v.lower() in ("1", "true", "on", "yes")),
+    "dereverb": (None, "dereverb", _bool),
     "wpe_taps": ("wpe", "taps", int),
     "wpe_delay": ("wpe", "delay", int),
     "wpe_iterations": ("wpe", "iterations", int),
@@ -155,52 +180,35 @@ PIPELINE_KEYS = {
 
 
 def load_pipeline_config(path=None, overrides=None):
-    """Build a PipelineConfig from a key-value file plus override pairs."""
-    config = PipelineConfig()
+    """Build a checked PipelineConfig from a key-value file plus override pairs."""
     values = parse_kv_file(path) if path else {}
     values.update(overrides or {})
+    fields = {None: {}, **{section: {} for section in SECTIONS}}
     for key, raw in values.items():
         if key not in PIPELINE_KEYS:
             raise ConfigurationError(f"unknown config key {key!r}")
+        if isinstance(raw, list):
+            raise ConfigurationError(f"config key {key!r} is given more than once")
         section, attr, conv = PIPELINE_KEYS[key]
         try:
-            value = conv(raw)
+            fields[section][attr] = conv(raw)
         except ValueError as exc:
             raise ConfigurationError(f"config key {key!r}: {exc}") from exc
-        target = config if section is None else getattr(config, section)
-        setattr(target, attr, value)
-    if config.mode not in ("masking", "beamforming"):
-        raise ConfigurationError(f"unknown mode {config.mode!r}")
-    if not (
-        config.mask_provider == "oracle" or config.mask_provider.startswith("file:")
-    ):
-        raise ConfigurationError(
-            f"mask_provider must be 'oracle' or 'file:<path>', got {config.mask_provider!r}"
-        )
-    return config
+    try:
+        nested = {section: cls(**fields[section]) for section, cls in SECTIONS.items()}
+        return PipelineConfig(**nested, **fields[None])
+    except ValueError as exc:
+        raise ConfigurationError(f"invalid configuration: {exc}") from exc
 
 
 def pipeline_config_text(config):
-    """Render a PipelineConfig back to its key-value file form."""
-    lines = [
-        f"fft_size = {config.stft.fft_size}",
-        f"window_size = {config.stft.window_size}",
-        f"hop = {config.stft.hop}",
-        f"window_frames = {config.plan.window_frames}",
-        f"hop_frames = {config.plan.hop_frames}",
-        f"mask_provider = {config.mask_provider}",
-        f"mode = {config.mode}",
-        f"dereverb = {'true' if config.dereverb else 'false'}",
-        f"wpe_taps = {config.wpe.taps}",
-        f"wpe_delay = {config.wpe.delay}",
-        f"wpe_iterations = {config.wpe.iterations}",
-        f"wpe_update_interval = {config.wpe.update_interval}",
-        f"wpe_context = {config.wpe.context}",
-        f"array_radius = {config.array_radius}",
-        f"reference_index = {config.reference_index}",
-        f"doa_merge_threshold_deg = {config.doa_merge_threshold_deg}",
-        f"seed = {config.seed}",
-    ]
-    if config.truth_dir:
-        lines.insert(6, f"truth_dir = {config.truth_dir}")
+    """Render a PipelineConfig back to its key-value file form; None is left out."""
+    lines = []
+    for key, (section, attr, _) in PIPELINE_KEYS.items():
+        value = getattr(config if section is None else getattr(config, section), attr)
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"

@@ -5,7 +5,11 @@ class UnmixError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class FormatError(UnmixError):
+class InputError(UnmixError):
+    """The input data or configuration is at fault, not the program."""
+
+
+class FormatError(InputError):
     """A file did not match its declared on-disk layout."""
 
 
@@ -13,7 +17,7 @@ class UnsupportedFormatError(FormatError):
     """The file is recognizable but uses an encoding we do not read."""
 
 
-class RangeError(UnmixError):
+class RangeError(InputError):
     """A value fell outside its documented range."""
 
 
@@ -21,15 +25,15 @@ class ShapeError(UnmixError):
     """Array arguments do not line up."""
 
 
-class InsufficientInputError(UnmixError):
+class InsufficientInputError(InputError):
     """The signal is too short for the requested operation."""
 
 
-class ConfigurationError(UnmixError):
+class ConfigurationError(InputError):
     """Invalid or inconsistent configuration."""
 
 
-class GeometryError(UnmixError):
+class GeometryError(InputError):
     """A scene or array layout is physically impossible."""
 
 

@@ -30,14 +30,6 @@ class MaskSet:
         if self.noise.shape != self.speech.shape[1:]:
             raise ShapeError("noise mask must match speech mask frames x bins")
 
-    @property
-    def frame_count(self):
-        return self.speech.shape[1]
-
-    @property
-    def bins(self):
-        return self.speech.shape[2]
-
     def permuted(self, permutation):
         """Return a copy with the speech heads reordered; noise is untouched."""
         return MaskSet(
@@ -156,14 +148,8 @@ def merge_heads_if_same_doa(mask_set, spec, geometry, threshold_deg=15.0):
 class OracleMaskProvider:
     """Serves ideal-ratio-mask windows from ground-truth spectrograms."""
 
-    heads = 3
-
     def __init__(self, mixture, sources, noise):
         self._full = oracle_masks(mixture, sources, noise)
-
-    @property
-    def bins(self):
-        return self._full.bins
 
     def mask_for_window(self, window_index, start, end):
         return MaskSet(
@@ -173,34 +159,19 @@ class OracleMaskProvider:
 
 
 class FileMaskProvider:
-    """Serves precomputed mask windows from a mask container file."""
+    """Serves precomputed mask windows from a mask container file.
 
-    heads = 3
+    window_count, window_frames, bins and hop_frames describe the container;
+    the caller checks them against the pipeline before asking for windows.
+    """
 
     def __init__(self, path):
         self._sets, self.hop_frames = read_mask_file(path)
-
-    @property
-    def window_count(self):
-        return len(self._sets)
-
-    @property
-    def bins(self):
-        return self._sets[0].bins
+        self.window_count = len(self._sets)
+        self.window_frames, self.bins = self._sets[0].speech.shape[1:]
 
     def mask_for_window(self, window_index, start, end):
-        if window_index >= len(self._sets):
-            raise ShapeError(
-                f"mask file has {len(self._sets)} windows, window {window_index} "
-                "requested"
-            )
-        mset = self._sets[window_index]
-        if mset.frame_count != end - start:
-            raise ShapeError(
-                f"window {window_index}: mask file has {mset.frame_count} frames, "
-                f"pipeline expects {end - start}"
-            )
-        return mset
+        return self._sets[window_index]
 
 
 class ChannelSwappingProvider:
@@ -208,8 +179,6 @@ class ChannelSwappingProvider:
 
     Exercises the stitcher's permutation alignment; deterministic per seed.
     """
-
-    heads = 3
 
     def __init__(self, inner, seed=0):
         self._inner = inner

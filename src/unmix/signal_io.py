@@ -85,11 +85,13 @@ def read_wave(path):
     """
     try:
         rate, data = scipy.io.wavfile.read(path)
-    except (ValueError, struct.error, EOFError) as exc:
-        raise FormatError(f"malformed WAV file {path}: {exc}") from exc
+    except (OSError, ValueError, struct.error, EOFError) as exc:
+        raise FormatError(f"cannot read WAV file {path}: {exc}") from exc
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / 32768.0
     elif data.dtype in (np.float32, np.float64):
+        if not np.all(np.isfinite(data)):
+            raise FormatError(f"non-finite samples in WAV file {path}")
         samples = data.astype(np.float64)
     else:
         raise UnsupportedFormatError(
@@ -155,7 +157,11 @@ def read_mask_file(path):
     """Read a mask container; returns (list of MaskSet, hop_frames)."""
     from .masks import MaskSet
 
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise FormatError(f"cannot read mask file {path}: {exc.strerror or exc}") from exc
+    with fh:
         header = fh.read(_MASK_HEADER.size)
         if len(header) < _MASK_HEADER.size:
             raise FormatError(f"truncated mask header in {path}")
@@ -166,6 +172,8 @@ def read_mask_file(path):
             raise UnsupportedFormatError(f"unsupported mask container version {version}")
         if heads != 3:
             raise FormatError(f"expected 3 heads, found {heads}")
+        if windows == 0:
+            raise FormatError(f"mask file {path} holds no windows")
         payload = fh.read()
     expected = windows * heads * frames * bins_ * 4
     if len(payload) != expected:

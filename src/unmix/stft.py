@@ -17,6 +17,8 @@ class StftConfig:
     hop: int = 256
 
     def __post_init__(self):
+        if self.window_size <= 0 or self.hop <= 0:
+            raise ValueError("window_size and hop must be positive")
         if self.fft_size < self.window_size:
             raise ValueError("fft_size must be >= window_size")
         if self.window_size % self.hop != 0:

@@ -23,10 +23,8 @@ class WindowPlan:
     hop_frames: int = 38
 
     def __post_init__(self):
-        if not 0 < self.hop_frames <= self.window_frames:
-            raise ValueError("need 0 < hop_frames <= window_frames")
-        if self.hop_frames == self.window_frames:
-            raise ValueError("windows must overlap (hop_frames < window_frames)")
+        if not 0 < self.hop_frames < self.window_frames:
+            raise ValueError("need 0 < hop_frames < window_frames: windows overlap")
 
 
 @dataclass

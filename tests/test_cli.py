@@ -1,9 +1,14 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.io.wavfile
 
 from unmix.cli import EXIT_DATA, EXIT_OK, main
+from unmix.config import load_pipeline_config
+from unmix.errors import ConfigurationError
 from unmix.masks import MaskSet
 from unmix.metrics import best_permutation_eval
 from unmix.signal_io import MultichannelWave, read_wave, write_mask_file, write_wave
@@ -38,6 +43,20 @@ def _simulate(tmp_path, text=SCENE, name="scene"):
     outdir = tmp_path / name
     assert main(["simulate", str(spec), str(outdir)]) == EXIT_OK
     return outdir
+
+
+@pytest.fixture(scope="module")
+def shared_scene(tmp_path_factory):
+    """One simulated scene for the tests that only read it."""
+    return _simulate(tmp_path_factory.mktemp("shared"))
+
+
+def _assert_data_error(capsys, argv):
+    """main exits 2 and prints exactly one `error:` line, no traceback."""
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 class TestSimulate:
@@ -76,6 +95,21 @@ class TestSimulate:
         spec = tmp_path / "scene.cfg"
         spec.write_text("room_dim 6 5 3\n")
         assert main(["simulate", str(spec), str(tmp_path / "out")]) == EXIT_DATA
+
+    def test_missing_source_wav_is_data_error(self, tmp_path, capsys):
+        spec = tmp_path / "scene.cfg"
+        spec.write_text(SCENE)
+        argv = ["simulate", str(spec), str(tmp_path / "out")]
+        _assert_data_error(capsys, argv + ["--source-wav", str(tmp_path / "absent.wav")])
+
+    @pytest.mark.parametrize("channels, rate", [(2, 16000), (1, 8000)])
+    def test_source_wav_must_be_mono_16k(self, tmp_path, capsys, rng, channels, rate):
+        spec = tmp_path / "scene.cfg"
+        spec.write_text(SCENE)
+        source = tmp_path / "source.wav"
+        write_wave(MultichannelWave(rng.uniform(-0.5, 0.5, (channels, 2 * rate)), rate), source)
+        argv = ["simulate", str(spec), str(tmp_path / "out")]
+        _assert_data_error(capsys, argv + ["--source-wav", str(source)])
 
 
 class TestSeparate:
@@ -151,12 +185,12 @@ class TestSeparate:
     def test_file_provider_geometry_mismatch_is_data_error(self, tmp_path, rng):
         scene = _simulate(tmp_path)
         # the 4 s scene has 249 frames: hop 38 and hop 40 both give 4 windows
-        for hop, bins_ in ((40, 257), (38, 129)):
-            mask_path = tmp_path / f"masks_{hop}_{bins_}.umxm"
+        for hop, bins_, frames in ((40, 257, 150), (38, 129, 150), (38, 257, 140)):
+            mask_path = tmp_path / f"masks_{hop}_{bins_}_{frames}.umxm"
             sets = [
                 MaskSet(
-                    speech=rng.uniform(0, 1, (2, 150, bins_)),
-                    noise=rng.uniform(0, 1, (150, bins_)),
+                    speech=rng.uniform(0, 1, (2, frames, bins_)),
+                    noise=rng.uniform(0, 1, (frames, bins_)),
                 )
                 for _ in range(4)
             ]
@@ -170,7 +204,37 @@ class TestSeparate:
                     f"mask_provider=file:{mask_path}",
                 ]
             )
-            assert code == EXIT_DATA, (hop, bins_)
+            assert code == EXIT_DATA, (hop, bins_, frames)
+
+    def test_unreadable_mask_file_is_data_error(self, tmp_path, capsys, rng, shared_scene):
+        out_of_range = tmp_path / "masks.umxm"
+        sets = [
+            MaskSet(speech=rng.uniform(0, 1, (2, 150, 257)), noise=np.zeros((150, 257)))
+            for _ in range(4)
+        ]
+        sets[2].speech[1, 5, 7] = 1.5
+        write_mask_file(out_of_range, sets, hop_frames=38)
+        for path in (out_of_range, tmp_path / "absent.umxm"):
+            argv = ["separate", str(shared_scene / "mixture.wav"), str(tmp_path / "sep")]
+            _assert_data_error(capsys, argv + ["--set", f"mask_provider=file:{path}"])
+
+    def test_missing_input_is_data_error(self, tmp_path, capsys, shared_scene):
+        argv = ["separate", str(tmp_path / "absent.wav"), str(tmp_path / "sep")]
+        _assert_data_error(capsys, argv + ["--truth-dir", str(shared_scene)])
+
+    def test_non_finite_input_is_data_error(self, tmp_path, capsys, shared_scene):
+        mixture = read_wave(shared_scene / "mixture.wav").samples.astype(np.float32)
+        mixture[3, 1000] = np.nan
+        path = tmp_path / "nan.wav"
+        scipy.io.wavfile.write(path, 16000, mixture.T.copy())
+        argv = ["separate", str(path), str(tmp_path / "sep")]
+        _assert_data_error(capsys, argv + ["--truth-dir", str(shared_scene)])
+
+    def test_recording_shorter_than_window_is_data_error(self, tmp_path, capsys, shared_scene):
+        # the 4 s scene has 249 frames
+        argv = ["separate", str(shared_scene / "mixture.wav"), str(tmp_path / "sep")]
+        argv += ["--truth-dir", str(shared_scene), "--set", "window_frames=400"]
+        _assert_data_error(capsys, argv)
 
     def test_set_without_equals_is_data_error(self, tmp_path):
         code = main(
@@ -194,7 +258,6 @@ class TestSeparate:
             == EXIT_OK
         )
         # export oracle masks to the container format, then run from the file
-        from unmix.config import load_pipeline_config
         from unmix.cli import _make_provider
         from unmix.stft import analyze
         from unmix.stitcher import plan_windows
@@ -287,6 +350,12 @@ class TestEvaluate:
         empty.mkdir()
         assert main(["evaluate", str(empty), str(scene)]) == EXIT_DATA
 
+    def test_missing_second_stream_is_data_error(self, tmp_path, capsys, shared_scene):
+        est = tmp_path / "est"
+        est.mkdir()
+        write_wave(MultichannelWave(np.zeros(4 * 16000), 16000), est / "out0.wav")
+        _assert_data_error(capsys, ["evaluate", str(est), str(shared_scene)])
+
     def test_nonexistent_estimates_dir_is_data_error(self, tmp_path):
         scene = _simulate(tmp_path)
         assert main(["evaluate", str(tmp_path / "absent"), str(scene)]) == EXIT_DATA
@@ -306,12 +375,10 @@ class TestEvaluate:
         report = json.loads((est / "report.json").read_text())
 
         from unmix.cli import _load_truth
-        from unmix.config import load_pipeline_config
 
         estimates = [read_wave(est / f"out{i}.wav").samples[0] for i in (0, 1)]
         n = len(estimates[0])
-        stft = load_pipeline_config().stft
-        references = _load_truth(scene, stft, n)[2]
+        references = _load_truth(scene, n)[2]
         expected = {
             ref: best_permutation_eval(
                 estimates, references, mixture_ref=mixture[ref, :n]
@@ -322,7 +389,59 @@ class TestEvaluate:
         assert report["si_sdr_improvement"] == pytest.approx(expected[3])
 
 
+PINNED_CONFIG_TEXT = """\
+fft_size = 512
+window_size = 512
+hop = 256
+window_frames = 150
+hop_frames = 38
+mask_provider = oracle
+truth_dir = /data/scene
+mode = masking
+dereverb = false
+wpe_taps = 10
+wpe_delay = 2
+wpe_iterations = 3
+wpe_update_interval = 1.0
+wpe_context = 4.0
+array_radius = 0.0425
+reference_index = 0
+doa_merge_threshold_deg = 15.0
+seed = 0
+"""
+
+# values the config constructors reject; each must fail at load, before any
+# input is read (hop_frames=0 would otherwise never end the window loop)
+INVALID_SETTINGS = [
+    "hop_frames=0",
+    "hop_frames=150",
+    "window_frames=0",
+    "hop=300",
+    "hop=0",
+    "wpe_taps=0",
+    "fft_size=256",
+    "reference_index=9",
+]
+
+
 class TestPrintConfig:
+    def test_text_is_pinned(self, capsys):
+        assert main(["print-config", "--set", "truth_dir=/data/scene"]) == EXIT_OK
+        assert capsys.readouterr().out == PINNED_CONFIG_TEXT
+        assert main(["print-config"]) == EXIT_OK
+        default = PINNED_CONFIG_TEXT.replace("truth_dir = /data/scene\n", "")
+        assert capsys.readouterr().out == default
+
+    @pytest.mark.parametrize("setting", INVALID_SETTINGS)
+    def test_invalid_setting_is_rejected_at_load(self, tmp_path, capsys, setting):
+        key, _, value = setting.partition("=")
+        with pytest.raises(ConfigurationError):
+            load_pipeline_config(None, {key: value})
+        _assert_data_error(capsys, ["print-config", "--set", setting])
+        # separate stops at the config, before it reads the (absent) input
+        argv = ["separate", str(tmp_path / "absent.wav"), str(tmp_path / "sep")]
+        assert "invalid configuration" in _assert_data_error(capsys, argv + ["--set", setting])
+
     def test_default_round_trips(self, tmp_path, capsys):
         assert main(["print-config"]) == EXIT_OK
         text = capsys.readouterr().out
@@ -341,6 +460,13 @@ class TestPrintConfig:
     def test_set_without_equals_is_data_error(self, capsys):
         assert main(["print-config", "--set", "foo"]) == EXIT_DATA
         assert capsys.readouterr().err.strip().count("\n") == 0
+
+    def test_error_is_one_line_from_the_command(self):
+        # in a fresh process, so that logging writes to the real stderr
+        cmd = [sys.executable, "-m", "unmix.cli", "print-config", "--set", "hop=0"]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_DATA
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 class TestUsage:

@@ -42,6 +42,10 @@ class TestParseKvFile:
         with pytest.raises(FormatError, match=r":1:"):
             parse_kv_file(path)
 
+    def test_missing_file_is_format_error(self, tmp_path):
+        with pytest.raises(FormatError, match="absent.cfg"):
+            parse_kv_file(tmp_path / "absent.cfg")
+
 
 SCENE_TEXT = """
 room_dim = 6.0 5.0 3.0
@@ -135,6 +139,23 @@ class TestPipelineConfig:
         path = _write(tmp_path, "hop = fast\n")
         with pytest.raises(ConfigurationError, match="hop"):
             load_pipeline_config(path)
+
+    def test_repeated_key(self, tmp_path):
+        path = _write(tmp_path, "hop = 256\nhop = 128\n")
+        with pytest.raises(ConfigurationError, match="hop"):
+            load_pipeline_config(path)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1", True), ("TRUE", True), ("On", True), ("yes", True)]
+        + [("0", False), ("False", False), ("OFF", False), ("no", False)],
+    )
+    def test_boolean_spellings(self, text, value):
+        assert load_pipeline_config(None, {"dereverb": text}).dereverb is value
+
+    def test_bad_boolean(self):
+        with pytest.raises(ConfigurationError, match="dereverb"):
+            load_pipeline_config(None, {"dereverb": "ture"})
 
     def test_bad_mode(self):
         with pytest.raises(ConfigurationError, match="mode"):

@@ -1,5 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
+import scipy.io.wavfile
 
 from unmix.errors import FormatError, RangeError
 from unmix.masks import MaskSet
@@ -43,6 +46,22 @@ def test_truncated_header_is_format_error(tmp_path):
     path = tmp_path / "bad.wav"
     path.write_bytes(b"RIFF\x00\x00")
     with pytest.raises(FormatError):
+        read_wave(path)
+
+
+def test_missing_file_is_format_error(tmp_path):
+    for read in (read_wave, read_mask_file):
+        with pytest.raises(FormatError, match="absent"):
+            read(tmp_path / "absent")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_samples_are_format_error(tmp_path, bad):
+    data = np.zeros((100, 2), dtype=np.float32)
+    data[50, 1] = bad
+    path = tmp_path / "bad.wav"
+    scipy.io.wavfile.write(path, 16000, data)
+    with pytest.raises(FormatError, match="non-finite"):
         read_wave(path)
 
 
@@ -125,6 +144,13 @@ def test_out_of_range_mask_value_raises(tmp_path):
     raw[header : header + 4] = np.array([1.5], dtype="<f4").tobytes()
     path.write_bytes(bytes(raw))
     with pytest.raises(RangeError):
+        read_mask_file(path)
+
+
+def test_empty_container_is_format_error(tmp_path):
+    path = tmp_path / "m.umxm"
+    path.write_bytes(struct.pack("<4sIIIIII", b"UMXM", 1, 3, 150, 257, 0, 38))
+    with pytest.raises(FormatError, match="no windows"):
         read_mask_file(path)
 
 
