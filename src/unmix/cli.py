@@ -19,7 +19,13 @@ from .config import (
     pipeline_config_text,
 )
 from .dereverb import wpe_stream
-from .errors import ConfigurationError, FormatError, InputError, UnmixError
+from .errors import (
+    ConfigurationError,
+    FormatError,
+    InputError,
+    InsufficientInputError,
+    UnmixError,
+)
 from .masks import FileMaskProvider, OracleMaskProvider
 from .metrics import (
     activity_frames_from_segments,
@@ -96,19 +102,34 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _load_truth(truth_dir, num_samples):
+def _read_truth_wave(path, num_samples, sample_rate):
+    """Channels (J, num_samples) of a truth WAV that must cover the signal it
+    is compared with, at that signal's rate."""
+    wave = read_wave(path)
+    if wave.sample_rate != sample_rate:
+        raise FormatError(
+            f"{path} is at {wave.sample_rate} Hz, the signal it scores at {sample_rate} Hz"
+        )
+    if wave.samples.shape[1] < num_samples:
+        raise InsufficientInputError(
+            f"{path} has {wave.samples.shape[1]} samples, the signal it scores {num_samples}"
+        )
+    return wave.samples[:, :num_samples]
+
+
+def _load_truth(truth_dir, num_samples, sample_rate):
     truth_dir = Path(truth_dir)
     meta_path = truth_dir / "truth.json"
     if not meta_path.exists():
         raise ConfigurationError(f"missing truth metadata {meta_path}")
     meta = json.loads(meta_path.read_text())
-    sources = []
-    for k in range(meta["utterances"]):
-        wave = read_wave(truth_dir / f"source{k}.wav")
-        sources.append(wave.samples[0][:num_samples])
+    sources = [
+        _read_truth_wave(truth_dir / f"source{k}.wav", num_samples, sample_rate)[0]
+        for k in range(meta["utterances"])
+    ]
     noise_path = truth_dir / "noise_ref.wav"
     if noise_path.exists():
-        noise = read_wave(noise_path).samples[0][:num_samples]
+        noise = _read_truth_wave(noise_path, num_samples, sample_rate)[0]
     else:
         noise = np.zeros(num_samples)
     channel_sources = [np.zeros(num_samples), np.zeros(num_samples)]
@@ -123,10 +144,10 @@ def _make_provider(config, spec, input_wave, plan):
             raise ConfigurationError(
                 "oracle mask provider requires truth_dir pointing at simulate output"
             )
-        _, _, channel_sources, noise = _load_truth(
-            config.truth_dir, input_wave.samples.shape[1]
-        )
         rate = input_wave.sample_rate
+        _, _, channel_sources, noise = _load_truth(
+            config.truth_dir, input_wave.samples.shape[1], rate
+        )
         source_specs = [
             analyze(MultichannelWave(s, rate), config.stft) for s in channel_sources
         ]
@@ -215,14 +236,15 @@ def cmd_separate(args):
 
 def _evaluate_scene(est_dir, truth_dir, config):
     est_dir, truth_dir = Path(est_dir), Path(truth_dir)
-    estimates = [read_wave(est_dir / f"out{i}.wav").samples[0] for i in (0, 1)]
-    num_samples = len(estimates[0])
-    meta, _, channel_sources, _ = _load_truth(truth_dir, num_samples)
-    mixture = read_wave(truth_dir / "mixture.wav")
+    waves = [read_wave(est_dir / f"out{i}.wav") for i in (0, 1)]
+    estimates = [wave.samples[0] for wave in waves]
+    num_samples, rate = len(estimates[0]), waves[0].sample_rate
+    meta, _, channel_sources, _ = _load_truth(truth_dir, num_samples, rate)
+    mixture = _read_truth_wave(truth_dir / "mixture.wav", num_samples, rate)
     report = best_permutation_eval(
         estimates,
         channel_sources,
-        mixture_ref=mixture.samples[config.reference_index][:num_samples],
+        mixture_ref=mixture[config.reference_index],
     )
     segments = meta["activity_samples"]
     activity = activity_frames_from_segments(

@@ -9,7 +9,7 @@ from .errors import ConfigurationError, FormatError
 from .signal_io import ArrayGeometry, circular_array
 from .stft import StftConfig
 from .stitcher import WindowPlan
-from .simulator import CONFIGURATIONS, MixtureSpec, RoomSpec
+from .simulator import MixtureSpec, RoomSpec
 
 
 def parse_kv_file(path):
@@ -63,6 +63,24 @@ class SceneSpec:
     gains_db: tuple
     array_radius: float = 0.0425
 
+    def __post_init__(self):
+        numbers = [self.t60, self.duration, self.array_radius, *self.gains_db]
+        numbers += [*self.room_dim, *self.array_center, *self.source_positions.ravel()]
+        if not np.all(np.isfinite(numbers)) or np.isnan(self.snr_db):
+            raise ValueError("scene values must be finite (snr_db may be inf)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        self.mixture_spec()  # MixtureSpec checks the configuration and duration
+        sources = 1 if self.configuration == "single" else 2
+        if len(self.source_positions) != sources:
+            raise ValueError(
+                f"{self.configuration!r} configuration takes {sources} source(s), "
+                f"got {len(self.source_positions)}"
+            )
+        if len(self.gains_db) != sources:
+            raise ValueError(f"gains_db needs {sources} value(s), got {len(self.gains_db)}")
+        self.room()  # RoomSpec checks t60 and that the sources and array fit the room
+
     def room(self):
         return RoomSpec(
             dimensions=self.room_dim,
@@ -84,15 +102,13 @@ class SceneSpec:
 
 def load_scene_spec(path):
     values = parse_kv_file(path)
+    for key, value in values.items():
+        if isinstance(value, list) and key != "source":
+            raise ConfigurationError(f"{path}: key {key!r} is given more than once")
     try:
         sources = values["source"]
         if not isinstance(sources, list):
             sources = [sources]
-        config = values.get("config", "single")
-        if config not in CONFIGURATIONS:
-            raise ConfigurationError(
-                f"{path}: unknown config {config!r}; expected one of {CONFIGURATIONS}"
-            )
         gains = values.get("gains_db")
         gains = tuple(_floats(gains)) if gains else (0.0,) * len(sources)
         return SceneSpec(
@@ -100,7 +116,7 @@ def load_scene_spec(path):
             t60=float(values.get("t60", "0.3")),
             array_center=np.array(_floats(values["array_center"])),
             source_positions=np.array([_floats(s) for s in sources]),
-            configuration=config,
+            configuration=values.get("config", "single"),
             snr_db=float(values.get("snr_db", "20")),
             duration=float(values.get("duration", "10")),
             seed=int(values.get("seed", "0")),

@@ -38,6 +38,10 @@ def _delayed_stack(data, taps, delay):
 def _wpe_filters(data, stacked, estimate, config):
     """One half-iteration: variance update then normal-equation solve.
 
+    Everything is laid out (F, rows, T), so both correlations are one batched
+    matmul over frequency that contracts the frame axis, e.g.
+    R = (stacked / lambda) @ stacked^H with stacked^H of shape (F, T, JK).
+
     Returns (filters (F, JK, J), lambda (F, T), per-frequency ridge load (F,),
     pre-update weighted residual).
     """
@@ -45,8 +49,8 @@ def _wpe_filters(data, stacked, estimate, config):
     lam = np.maximum(np.mean(np.abs(estimate) ** 2, axis=1), eps)  # (F, T)
     residual_pre = float(np.sum(np.abs(estimate) ** 2 / lam[:, np.newaxis]))
     weighted = stacked / lam[:, np.newaxis]
-    r = np.einsum("fkt,flt->fkl", weighted, np.conj(stacked))
-    p = np.einsum("fkt,fjt->fkj", weighted, np.conj(data))
+    r = weighted @ np.conj(stacked).transpose(0, 2, 1)  # (F, JK, JK)
+    p = weighted @ np.conj(data).transpose(0, 2, 1)  # (F, JK, J)
     jk = r.shape[1]
     load = eps * np.maximum(np.real(np.trace(r, axis1=1, axis2=2)) / jk, eps)  # (F,)
     filters = np.linalg.solve(
@@ -80,7 +84,7 @@ def wpe_block(spec, config=None, collect_residuals=None, collect_filters=None):
     prev_filters = None
     for _ in range(config.iterations):
         filters, lam, load, residual_pre = _wpe_filters(data, stacked, estimate, config)
-        prediction = np.einsum("fkj,fkt->fjt", np.conj(filters), stacked)
+        prediction = np.conj(filters).transpose(0, 2, 1) @ stacked  # (F, J, T)
         estimate = data - prediction
         if collect_residuals is not None:
             penalty_pre = 0.0

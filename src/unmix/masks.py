@@ -92,6 +92,27 @@ def steering_vectors(geometry, frequencies, azimuths_deg):
     return np.exp(phase)
 
 
+_doa_grid_cache = {}  # holds only the latest (positions, band, grid) entry
+
+
+def _doa_grid(geometry, freqs, grid_deg):
+    """Azimuth grid and the conjugated steering vectors (A, Fb, J), scaled to
+    unit norm, that estimate_doa matches against.
+
+    Every window of a run asks for the same geometry, band and grid, so the
+    latest grid is kept and rebuilt only when one of them changes.
+    """
+    key = (geometry.positions.tobytes(), freqs.tobytes(), grid_deg)
+    if key not in _doa_grid_cache:
+        azimuths = np.arange(0.0, 360.0, grid_deg)
+        steer = steering_vectors(geometry, freqs, azimuths)
+        steer_conj = np.conj(steer / np.sqrt(steer.shape[2]))
+        steer_conj.flags.writeable = False
+        _doa_grid_cache.clear()
+        _doa_grid_cache[key] = (azimuths, steer_conj)
+    return _doa_grid_cache[key]
+
+
 def estimate_doa(masks, spec, geometry, grid_deg=1.0, f_min=300.0, f_max=4000.0):
     """Estimate the azimuth of the source selected by each mask.
 
@@ -112,10 +133,8 @@ def estimate_doa(masks, spec, geometry, grid_deg=1.0, f_min=300.0, f_max=4000.0)
     cov = sig_cov(spec.data[:, :, band], masks[..., band])  # (..., Fb, J, J)
     _, vecs = np.linalg.eigh(cov)
     principal = vecs[..., -1]  # (..., Fb, J)
-    azimuths = np.arange(0.0, 360.0, grid_deg)
-    steer = steering_vectors(geometry, freqs[band], azimuths)  # (A, Fb, J)
-    steer = steer / np.sqrt(steer.shape[2])
-    scores = np.abs(np.einsum("afj,...fj->...af", np.conj(steer), principal)) ** 2
+    azimuths, steer_conj = _doa_grid(geometry, freqs[band], grid_deg)
+    scores = np.abs(np.einsum("afj,...fj->...af", steer_conj, principal)) ** 2
     doa = azimuths[np.argmax(scores.sum(axis=-1), axis=-1)]
     return float(doa) if doa.ndim == 0 else doa
 

@@ -56,7 +56,9 @@ class MixtureSpec:
 
     def __post_init__(self):
         if self.configuration not in CONFIGURATIONS:
-            raise ValueError(f"unknown configuration {self.configuration!r}")
+            raise ValueError(
+                f"unknown configuration {self.configuration!r}; expected one of {CONFIGURATIONS}"
+            )
         if self.clip_seconds <= 0 or self.clip_seconds > 10.0:
             raise ValueError("clip_seconds must be in (0, 10]")
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -110,6 +111,15 @@ class TestSimulate:
         write_wave(MultichannelWave(rng.uniform(-0.5, 0.5, (channels, 2 * rate)), rate), source)
         argv = ["simulate", str(spec), str(tmp_path / "out")]
         _assert_data_error(capsys, argv + ["--source-wav", str(source)])
+
+    @pytest.mark.parametrize(
+        "old, new", [("duration = 4", "duration = 20"), ("config = sequential", "config = single")]
+    )
+    def test_scene_checks_run_at_load(self, tmp_path, capsys, old, new):
+        spec = tmp_path / "scene.cfg"
+        spec.write_text(SCENE.replace(old, new))
+        _assert_data_error(capsys, ["simulate", str(spec), str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
 
 class TestSeparate:
@@ -236,6 +246,24 @@ class TestSeparate:
         argv += ["--truth-dir", str(shared_scene), "--set", "window_frames=400"]
         _assert_data_error(capsys, argv)
 
+    def test_truth_shorter_than_input_is_data_error(self, tmp_path, capsys, shared_scene):
+        mixture = read_wave(shared_scene / "mixture.wav")
+        doubled = tmp_path / "doubled.wav"
+        samples = np.concatenate([mixture.samples, mixture.samples], axis=1)
+        write_wave(MultichannelWave(samples, 16000), doubled, dtype="float32")
+        argv = ["separate", str(doubled), str(tmp_path / "sep")]
+        err = _assert_data_error(capsys, argv + ["--truth-dir", str(shared_scene)])
+        assert "source0.wav" in err
+
+    def test_truth_at_another_rate_is_data_error(self, tmp_path, capsys, shared_scene):
+        truth = tmp_path / "truth"
+        shutil.copytree(shared_scene, truth)
+        noise = read_wave(truth / "noise_ref.wav")
+        write_wave(MultichannelWave(noise.samples, 8000), truth / "noise_ref.wav", dtype="float32")
+        argv = ["separate", str(shared_scene / "mixture.wav"), str(tmp_path / "sep")]
+        err = _assert_data_error(capsys, argv + ["--truth-dir", str(truth)])
+        assert "8000 Hz" in err
+
     def test_set_without_equals_is_data_error(self, tmp_path):
         code = main(
             ["separate", str(tmp_path / "in.wav"), str(tmp_path / "sep"), "--set", "foo"]
@@ -356,6 +384,13 @@ class TestEvaluate:
         write_wave(MultichannelWave(np.zeros(4 * 16000), 16000), est / "out0.wav")
         _assert_data_error(capsys, ["evaluate", str(est), str(shared_scene)])
 
+    def test_estimates_longer_than_truth_is_data_error(self, tmp_path, capsys, shared_scene):
+        est = tmp_path / "est"
+        est.mkdir()
+        for i in (0, 1):
+            write_wave(MultichannelWave(np.zeros(8 * 16000), 16000), est / f"out{i}.wav")
+        _assert_data_error(capsys, ["evaluate", str(est), str(shared_scene)])
+
     def test_nonexistent_estimates_dir_is_data_error(self, tmp_path):
         scene = _simulate(tmp_path)
         assert main(["evaluate", str(tmp_path / "absent"), str(scene)]) == EXIT_DATA
@@ -378,7 +413,7 @@ class TestEvaluate:
 
         estimates = [read_wave(est / f"out{i}.wav").samples[0] for i in (0, 1)]
         n = len(estimates[0])
-        references = _load_truth(scene, n)[2]
+        references = _load_truth(scene, n, 16000)[2]
         expected = {
             ref: best_permutation_eval(
                 estimates, references, mixture_ref=mixture[ref, :n]

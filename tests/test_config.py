@@ -105,6 +105,26 @@ class TestSceneSpec:
         with pytest.raises(ConfigurationError):
             load_scene_spec(path)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("duration = 4", "duration = 20", "clip_seconds"),
+            ("config = partial_overlap", "config = single", "takes 1 source"),
+            ("seed = 3", "seed = 3\ngains_db = 0 -3 -6", "gains_db"),
+            ("t60 = 0.25", "t60 = -1", "t60"),
+            ("t60 = 0.25", "t60 = nan", "finite"),
+            ("t60 = 0.25", "t60 = inf", "finite"),
+            ("room_dim = 6.0 5.0 3.0", "room_dim = 6.0 5.0 nan", "finite"),
+            ("snr_db = 15", "snr_db = nan", "finite"),
+            ("seed = 3", "seed = -1", "seed"),
+            ("duration = 4", "duration = 4\nduration = 3", "more than once"),
+        ],
+    )
+    def test_scene_checks_run_at_load(self, tmp_path, old, new, message):
+        path = _write(tmp_path, SCENE_TEXT.replace(old, new))
+        with pytest.raises(ConfigurationError, match=message):
+            load_scene_spec(path)
+
     def test_room_construction(self, tmp_path):
         scene = load_scene_spec(_write(tmp_path, SCENE_TEXT))
         room = scene.room()

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from unmix.dereverb import WpeConfig, wpe_block, wpe_stream
+from unmix.dereverb import WpeConfig, _delayed_stack, _wpe_filters, wpe_block, wpe_stream
 from unmix.errors import InsufficientInputError
 from unmix.metrics import si_sdr
 from unmix.signal_io import MultichannelWave, circular_array
 from unmix.simulator import RoomSpec, image_method_rirs, speech_like_source
-from unmix.stft import analyze, synthesize
+from unmix.stft import Spectrogram, StftConfig, analyze, synthesize
 
 FS = 16000
 
@@ -83,6 +85,91 @@ class TestWpeBlock:
         assert spec.frame_count < config.delay + config.taps
         with pytest.raises(InsufficientInputError):
             wpe_block(spec, config)
+
+
+def _einsum_iteration(data, stacked, estimate, config):
+    """One WPE iteration with the correlations and the prediction written as
+    the einsum contractions they replace; returns (filters, new estimate)."""
+    eps = config.epsilon
+    lam = np.maximum(np.mean(np.abs(estimate) ** 2, axis=1), eps)
+    weighted = stacked / lam[:, np.newaxis]
+    r = np.einsum("fkt,flt->fkl", weighted, np.conj(stacked))
+    p = np.einsum("fkt,fjt->fkj", weighted, np.conj(data))
+    jk = r.shape[1]
+    load = eps * np.maximum(np.real(np.trace(r, axis1=1, axis2=2)) / jk, eps)
+    filters = np.linalg.solve(r + load[:, np.newaxis, np.newaxis] * np.eye(jk), p)
+    prediction = np.einsum("fkj,fkt->fjt", np.conj(filters), stacked)
+    return filters, data - prediction
+
+
+@st.composite
+def random_blocks(draw):
+    """A random complex (F, J, T) block and a one-iteration WpeConfig.
+
+    Each frequency gets at least four frames per unknown of its normal
+    equations, so the solve is well conditioned, as it is on real blocks
+    (249 frames for 70 unknowns), and does not amplify last-bit differences
+    in R into the filters.
+    """
+    bins = draw(st.integers(2, 5))
+    channels = draw(st.integers(1, 3))
+    taps = draw(st.integers(1, 3))
+    delay = draw(st.integers(1, 3))
+    least = delay + taps + 4 * channels * taps
+    frames = draw(st.integers(least, least + 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (bins, channels, frames)
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return data, WpeConfig(taps=taps, delay=delay, iterations=1)
+
+
+def _as_spectrogram(data):
+    """(F, J, T) -> Spectrogram (J, T, F) with a config of F bins."""
+    fft_size = 2 * (data.shape[0] - 1)
+    config = StftConfig(fft_size=fft_size, window_size=fft_size, hop=1)
+    return Spectrogram(np.transpose(data, (1, 2, 0)), config=config)
+
+
+def _scaled(expected):
+    """Absolute tolerance 1e-12 of the largest element: the summation order
+    differs, so an element much smaller than the rest can carry a relative
+    error above 1e-12 while the arrays agree to 1e-13 of their size."""
+    return 1e-12 * np.max(np.abs(expected))
+
+
+class TestMatmulMatchesEinsum:
+    @settings(max_examples=100, deadline=None)
+    @given(block=random_blocks())
+    def test_filters(self, block):
+        data, config = block
+        stacked = _delayed_stack(data, config.taps, config.delay)
+        filters = _wpe_filters(data, stacked, data, config)[0]
+        expected, _ = _einsum_iteration(data, stacked, data, config)
+        np.testing.assert_allclose(filters, expected, rtol=1e-12, atol=_scaled(expected))
+
+    @settings(max_examples=100, deadline=None)
+    @given(block=random_blocks())
+    def test_one_block_iteration(self, block):
+        data, config = block
+        out = wpe_block(_as_spectrogram(data), config)
+        stacked = _delayed_stack(data, config.taps, config.delay)
+        _, expected = _einsum_iteration(data, stacked, data, config)
+        np.testing.assert_allclose(
+            np.transpose(out.data, (2, 0, 1)), expected, rtol=1e-12, atol=_scaled(expected)
+        )
+
+
+class TestObjectiveOnRandomBlocks:
+    @settings(max_examples=100, deadline=None)
+    @given(block=random_blocks(), iterations=st.integers(1, 4))
+    def test_non_increasing_within_iteration(self, block, iterations):
+        data, config = block
+        config.iterations = iterations
+        residuals = []
+        wpe_block(_as_spectrogram(data), config, collect_residuals=residuals)
+        assert len(residuals) == iterations
+        for pre, post in residuals:
+            assert post <= pre + 1e-12 * pre
 
 
 class TestWpeStream:

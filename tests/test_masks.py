@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unmix.errors import NoSignalError, ShapeError
 from unmix.masks import (
@@ -9,6 +11,7 @@ from unmix.masks import (
     merge_heads_if_same_doa,
     normalize_masks,
     oracle_masks,
+    steering_vectors,
 )
 from unmix.signal_io import ArrayGeometry, circular_array
 from unmix.stft import Spectrogram, StftConfig
@@ -108,6 +111,28 @@ class TestNormalizeMasks:
         total = out.speech[0] + out.speech[1] + out.noise
         np.testing.assert_allclose(total, 1.0, atol=1e-6)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        frames=st.integers(1, 12),
+        bins=st.integers(1, 12),
+        zero_fraction=st.floats(0.0, 1.0),
+        scale_exponent=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sum_to_one_in_every_bin(self, frames, bins, zero_fraction, scale_exponent, seed):
+        # some bins all zero, and the rest scaled down so that some of them
+        # fall below the degenerate threshold without being zero
+        rng = np.random.default_rng(seed)
+        masks = rng.uniform(0, 1, (3, frames, bins)) * 10.0**-scale_exponent
+        masks[:, rng.uniform(size=(frames, bins)) < zero_fraction] = 0.0
+        out = normalize_masks(MaskSet(speech=masks[:2], noise=masks[2]))
+        total = out.speech[0] + out.speech[1] + out.noise
+        np.testing.assert_allclose(total, 1.0, atol=1e-12)
+        for m in (out.speech, out.noise):
+            assert np.all((m >= 0.0) & (m <= 1.0))
+        zero = np.all(masks == 0.0, axis=0)
+        np.testing.assert_array_equal(out.noise[zero], 1.0 / 3.0)
+
 
 class TestDoa:
     def test_plane_wave_from_zero_degrees(self, geometry):
@@ -160,6 +185,31 @@ class TestDoa:
         spec = plane_wave_spectrogram(geometry, 0.0, frames=10)
         with pytest.raises(NoSignalError):
             estimate_doa(np.zeros((spec.frame_count, spec.bins)), spec, geometry)
+
+
+    def test_steering_grid_built_once_per_geometry_band_and_grid(
+        self, geometry, monkeypatch
+    ):
+        spec = plane_wave_spectrogram(geometry, 45.0, frames=30)
+        at_8k = plane_wave_spectrogram(geometry, 45.0, frames=30, sample_rate=8000)
+        ones = np.ones((spec.frame_count, spec.bins))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return steering_vectors(*args)
+
+        monkeypatch.setattr("unmix.masks.steering_vectors", counting)
+        monkeypatch.setattr("unmix.masks._doa_grid_cache", {})
+        first = estimate_doa(ones, spec, geometry)
+        assert estimate_doa(ones, spec, geometry) == first
+        assert len(calls) == 1
+        estimate_doa(ones, spec, geometry, grid_deg=2.0)
+        shifted = ArrayGeometry(positions=geometry.positions + 0.01)
+        estimate_doa(ones, spec, shifted)
+        assert circular_difference_deg(estimate_doa(ones, at_8k, geometry), 45.0) <= 2.0
+        assert len(calls) == 4
+        assert estimate_doa(ones, spec, geometry) == first
 
 
 class TestMergeHeads:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unmix.errors import InsufficientInputError, ShapeError
 from unmix.signal_io import MultichannelWave
@@ -71,6 +73,30 @@ def test_perfect_reconstruction_interior(rng):
     interior = slice(config.window_size, n - config.window_size)
     err = np.max(np.abs(out[:, interior] - x[:, interior]))
     assert err / np.max(np.abs(x)) < 1e-6
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    window_size=st.sampled_from([16, 32, 64, 512]),
+    overlap=st.sampled_from([2, 4, 8]),
+    zero_pad=st.sampled_from([1, 2]),
+    channels=st.integers(1, 3),
+    windows=st.floats(3.0, 12.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_perfect_reconstruction_at_random_lengths(
+    window_size, overlap, zero_pad, channels, windows, seed
+):
+    config = StftConfig(
+        fft_size=zero_pad * window_size, window_size=window_size, hop=window_size // overlap
+    )
+    x = np.random.default_rng(seed).standard_normal((channels, int(windows * window_size)))
+    out = synthesize(analyze(MultichannelWave(x, 16000), config)).samples
+    n = out.shape[1]
+    assert n == (config.frame_count(x.shape[1]) - 1) * config.hop + window_size
+    interior = slice(window_size, n - window_size)
+    err = np.max(np.abs(out[:, interior] - x[:, interior]))
+    assert err / np.max(np.abs(x)) < 1e-10
 
 
 def test_zero_spectrogram_synthesizes_to_zero():
