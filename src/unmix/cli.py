@@ -35,7 +35,7 @@ from .metrics import (
 )
 from .signal_io import MultichannelWave, read_wave, write_wave
 from .simulator import make_mixture, speech_like_source
-from .stft import Spectrogram, analyze, synthesize
+from .stft import analyze, synthesize
 from .stitcher import plan_windows, run_pipeline
 
 log = logging.getLogger("unmix")
@@ -69,8 +69,7 @@ def cmd_simulate(args):
             )
     mixture, truth = make_mixture(mix_spec, room, sources)
 
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(args.output)
     write_wave(mixture, outdir / "mixture.wav", dtype="float32")
     for k in range(len(sources)):
         write_wave(
@@ -102,6 +101,16 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
+def _output_dir(path):
+    """Create the output directory; a path that cannot be one is a data error."""
+    outdir = Path(path)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write to {outdir}: {exc.strerror or exc}") from exc
+    return outdir
+
+
 def _read_truth_wave(path, num_samples, sample_rate):
     """Channels (J, num_samples) of a truth WAV that must cover the signal it
     is compared with, at that signal's rate."""
@@ -117,12 +126,51 @@ def _read_truth_wave(path, num_samples, sample_rate):
     return wave.samples[:, :num_samples]
 
 
+def _read_truth_meta(path):
+    """truth.json as simulate writes it: `utterances`, an `assignment` of
+    output 0 or 1 per utterance and, optionally (evaluate needs it), one
+    `[start, end]` sample segment per utterance in `activity_samples`."""
+    try:
+        meta = json.loads(path.read_text())
+    except ValueError as exc:
+        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    if not (isinstance(meta, dict) and {"utterances", "assignment"} <= meta.keys()):
+        raise FormatError(f"{path} must be an object with 'utterances' and 'assignment'")
+    count, assignment = meta["utterances"], meta["assignment"]
+    if not (isinstance(count, int) and count >= 0):
+        raise FormatError(f"{path}: 'utterances' must be a count, got {count!r}")
+    if not (
+        isinstance(assignment, list)
+        and len(assignment) == count
+        and all(isinstance(ch, int) and ch in (0, 1) for ch in assignment)
+    ):
+        raise FormatError(
+            f"{path}: 'assignment' must name output 0 or 1 for each of the "
+            f"{count} utterances, got {assignment!r}"
+        )
+    segments = meta.get("activity_samples")
+    if segments is not None and not (
+        isinstance(segments, list)
+        and len(segments) == count
+        and all(isinstance(seg, list) and len(seg) == 2 for seg in segments)
+        and all(
+            isinstance(lo, int) and isinstance(hi, int) and 0 <= lo <= hi
+            for lo, hi in segments
+        )
+    ):
+        raise FormatError(
+            f"{path}: 'activity_samples' must give one [start, end] sample segment "
+            f"for each of the {count} utterances"
+        )
+    return meta
+
+
 def _load_truth(truth_dir, num_samples, sample_rate):
     truth_dir = Path(truth_dir)
     meta_path = truth_dir / "truth.json"
     if not meta_path.exists():
         raise ConfigurationError(f"missing truth metadata {meta_path}")
-    meta = json.loads(meta_path.read_text())
+    meta = _read_truth_meta(meta_path)
     sources = [
         _read_truth_wave(truth_dir / f"source{k}.wav", num_samples, sample_rate)[0]
         for k in range(meta["utterances"])
@@ -206,8 +254,7 @@ def cmd_separate(args):
     )
     elapsed = time.monotonic() - started
 
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(args.output)
     num_samples = input_wave.samples.shape[1]
     for i, stream in enumerate((out0, out1)):
         wave = synthesize(stream)
@@ -237,23 +284,28 @@ def cmd_separate(args):
 def _evaluate_scene(est_dir, truth_dir, config):
     est_dir, truth_dir = Path(est_dir), Path(truth_dir)
     waves = [read_wave(est_dir / f"out{i}.wav") for i in (0, 1)]
+    shapes = [(w.channel_count, w.samples.shape[1], w.sample_rate) for w in waves]
+    if shapes[0][0] != 1 or shapes[1] != shapes[0]:
+        raise FormatError(
+            f"estimates in {est_dir} must be mono at one length and rate; (channels, "
+            f"samples, Hz) of out0.wav {shapes[0]}, of out1.wav {shapes[1]}"
+        )
     estimates = [wave.samples[0] for wave in waves]
-    num_samples, rate = len(estimates[0]), waves[0].sample_rate
+    _, num_samples, rate = shapes[0]
     meta, _, channel_sources, _ = _load_truth(truth_dir, num_samples, rate)
+    segments = meta.get("activity_samples")
+    if segments is None:
+        raise FormatError(f"{truth_dir / 'truth.json'} lacks 'activity_samples'")
     mixture = _read_truth_wave(truth_dir / "mixture.wav", num_samples, rate)
     report = best_permutation_eval(
         estimates,
         channel_sources,
         mixture_ref=mixture[config.reference_index],
     )
-    segments = meta["activity_samples"]
     activity = activity_frames_from_segments(
         segments, num_samples, config.stft.hop, config.stft.window_size
     )
     report.nonmixing_violation_rate = check_nonmixing(meta["assignment"], activity)
-    channel_activity = [np.zeros(len(activity[0]), dtype=bool) for _ in range(2)]
-    for k, ch in enumerate(meta["assignment"]):
-        channel_activity[ch] |= activity[k]
     sample_activity = []
     for ch in range(2):
         mask = np.zeros(num_samples, dtype=bool)

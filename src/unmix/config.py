@@ -143,7 +143,6 @@ class PipelineConfig:
     array_radius: float = 0.0425
     reference_index: int = 0
     doa_merge_threshold_deg: float = 15.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("masking", "beamforming"):
@@ -191,7 +190,6 @@ PIPELINE_KEYS = {
     "array_radius": (None, "array_radius", float),
     "reference_index": (None, "reference_index", int),
     "doa_merge_threshold_deg": (None, "doa_merge_threshold_deg", float),
-    "seed": (None, "seed", int),
 }
 
 

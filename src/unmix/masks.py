@@ -33,7 +33,7 @@ class MaskSet:
     def permuted(self, permutation):
         """Return a copy with the speech heads reordered; noise is untouched."""
         return MaskSet(
-            speech=self.speech[list(permutation)].copy(),
+            speech=self.speech[list(permutation)],
             noise=self.noise.copy(),
         )
 

@@ -2,7 +2,7 @@
 
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.io.wavfile
@@ -35,10 +35,6 @@ class MultichannelWave:
     @property
     def channel_count(self):
         return self.samples.shape[0]
-
-    @property
-    def duration(self):
-        return self.samples.shape[1] / self.sample_rate
 
 
 @dataclass
@@ -135,8 +131,6 @@ def write_mask_file(path, mask_sets, hop_frames):
     window_count, hop_frames} u32, then row-major float32 data per window,
     little-endian, heads ordered (speech0, speech1, noise).
     """
-    from .masks import MaskSet  # local import to avoid a cycle
-
     if not mask_sets:
         raise ValueError("mask_sets must be non-empty")
     frames, bins_ = mask_sets[0].speech.shape[1:]

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.signal
 
-from .errors import GeometryError, ShapeError
+from .errors import GeometryError
 from .signal_io import SPEED_OF_SOUND, ArrayGeometry, MultichannelWave, circular_array
 
 SINC_TAPS = 81  # fractional-delay interpolation length (odd)

@@ -1,7 +1,7 @@
 """Sliding-window engine: window planning, cross-window permutation
 alignment, and the end-to-end masking/beamforming pipeline."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class StitchState:
     permutation: tuple = (0, 1)  # applied to the latest window's provider heads
     previous_masked_mags: np.ndarray = None  # (2, window_frames, bins)
     previous_range: tuple = None
-    frames_emitted: int = 0
 
 
 def plan_windows(total_frames, plan):
@@ -102,7 +101,6 @@ def align_and_emit(state, window_masks, window_ref_mag, window_range):
         permutation=permutation,
         previous_masked_mags=masked[list(permutation)],
         previous_range=window_range,
-        frames_emitted=state.frames_emitted + (emit[1] - emit[0]),
     )
     return new_state, emit, permuted
 

@@ -27,8 +27,8 @@ def plane_wave_spectrogram(
     """Synthesize an exact far-field plane wave directly in the STFT domain.
 
     Each bin carries an independent random source spectrum multiplied by the
-    steering vector for the given azimuth; an exact oracle for DOA,
-    covariance and feature tests.
+    steering vector for the given azimuth; an exact oracle for DOA
+    and covariance tests.
     """
     from unmix.masks import steering_vectors
 

@@ -521,7 +521,7 @@ class TestCriterion11Determinism:
                     "--truth-dir",
                     str(scene_dir),
                     "--set",
-                    "seed=5",
+                    "doa_merge_threshold_deg=20",
                 ]
             )
             assert code == 0
@@ -530,5 +530,5 @@ class TestCriterion11Determinism:
             )
         assert outputs[0] == outputs[1]
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
-        assert "seed = 5" in manifest["config"]
+        assert "doa_merge_threshold_deg = 20.0" in manifest["config"]
         print("\ncriterion 11 (determinism): PASS bit-identical WAV pairs")

@@ -60,6 +60,36 @@ def _assert_data_error(capsys, argv):
     return err
 
 
+def _without(key):
+    return lambda meta: json.dumps({k: v for k, v in meta.items() if k != key})
+
+
+# truth.json edits that separate --truth-dir and evaluate both reject
+BAD_TRUTH = {
+    "not JSON": lambda meta: json.dumps(meta)[:-1],
+    "a list": lambda meta: json.dumps([meta]),
+    "no utterances": _without("utterances"),
+    "no assignment": _without("assignment"),
+    "output 2": lambda meta: json.dumps({**meta, "assignment": [0, 2]}),
+    "one output for two utterances": lambda meta: json.dumps({**meta, "assignment": [0]}),
+    "one segment for two utterances": lambda meta: json.dumps(
+        {**meta, "activity_samples": meta["activity_samples"][:1]}
+    ),
+    "negative segment start": lambda meta: json.dumps(
+        {**meta, "activity_samples": [[-5, 10], [0, 10]]}
+    ),
+}
+
+
+def _truth_with(tmp_path, scene, edit):
+    """A copy of `scene` whose truth.json is rewritten by `edit(meta)`."""
+    truth = tmp_path / "truth"
+    shutil.copytree(scene, truth)
+    meta = json.loads((truth / "truth.json").read_text())
+    (truth / "truth.json").write_text(edit(meta))
+    return truth
+
+
 class TestSimulate:
     def test_outputs_for_two_speaker_scene(self, tmp_path):
         outdir = _simulate(tmp_path)
@@ -120,6 +150,12 @@ class TestSimulate:
         spec.write_text(SCENE.replace(old, new))
         _assert_data_error(capsys, ["simulate", str(spec), str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
+
+    def test_output_path_that_is_a_file_is_data_error(self, tmp_path, capsys):
+        spec = tmp_path / "scene.cfg"
+        spec.write_text(SCENE)
+        (tmp_path / "out").write_text("")
+        _assert_data_error(capsys, ["simulate", str(spec), str(tmp_path / "out")])
 
 
 class TestSeparate:
@@ -270,6 +306,17 @@ class TestSeparate:
         )
         assert code == EXIT_DATA
 
+    def test_output_path_that_is_a_file_is_data_error(self, tmp_path, capsys, shared_scene):
+        (tmp_path / "sep").write_text("")
+        argv = ["separate", str(shared_scene / "mixture.wav"), str(tmp_path / "sep")]
+        _assert_data_error(capsys, argv + ["--truth-dir", str(shared_scene)])
+
+    @pytest.mark.parametrize("edit", BAD_TRUTH.values(), ids=BAD_TRUTH.keys())
+    def test_bad_truth_metadata_is_data_error(self, tmp_path, capsys, shared_scene, edit):
+        truth = _truth_with(tmp_path, shared_scene, edit)
+        argv = ["separate", str(shared_scene / "mixture.wav"), str(tmp_path / "sep")]
+        assert "truth.json" in _assert_data_error(capsys, argv + ["--truth-dir", str(truth)])
+
     def test_file_provider_runs(self, tmp_path):
         scene = _simulate(tmp_path)
         sep_oracle = tmp_path / "sep_oracle"
@@ -391,6 +438,33 @@ class TestEvaluate:
             write_wave(MultichannelWave(np.zeros(8 * 16000), 16000), est / f"out{i}.wav")
         _assert_data_error(capsys, ["evaluate", str(est), str(shared_scene)])
 
+    @pytest.mark.parametrize(
+        "edit",
+        [*BAD_TRUTH.values(), _without("activity_samples")],
+        ids=[*BAD_TRUTH.keys(), "no activity_samples"],
+    )
+    def test_bad_truth_metadata_is_data_error(self, tmp_path, capsys, shared_scene, edit):
+        truth = _truth_with(tmp_path, shared_scene, edit)
+        est = tmp_path / "est"
+        est.mkdir()
+        for i in (0, 1):
+            write_wave(MultichannelWave(np.zeros(4 * 16000), 16000), est / f"out{i}.wav")
+        assert "truth.json" in _assert_data_error(capsys, ["evaluate", str(est), str(truth)])
+
+    @pytest.mark.parametrize(
+        "channels0, samples1, rate1",
+        [(1, 2 * 16000, 16000), (1, 8 * 16000, 16000), (2, 4 * 16000, 16000), (1, 4 * 16000, 8000)],
+        ids=["out1 half as long", "out1 twice as long", "out0 stereo", "out1 at 8 kHz"],
+    )
+    def test_estimates_must_be_mono_at_one_length_and_rate(
+        self, tmp_path, capsys, shared_scene, channels0, samples1, rate1
+    ):
+        est = tmp_path / "est"
+        est.mkdir()
+        write_wave(MultichannelWave(np.zeros((channels0, 4 * 16000)), 16000), est / "out0.wav")
+        write_wave(MultichannelWave(np.zeros(samples1), rate1), est / "out1.wav")
+        _assert_data_error(capsys, ["evaluate", str(est), str(shared_scene)])
+
     def test_nonexistent_estimates_dir_is_data_error(self, tmp_path):
         scene = _simulate(tmp_path)
         assert main(["evaluate", str(tmp_path / "absent"), str(scene)]) == EXIT_DATA
@@ -442,7 +516,6 @@ wpe_context = 4.0
 array_radius = 0.0425
 reference_index = 0
 doa_merge_threshold_deg = 15.0
-seed = 0
 """
 
 # values the config constructors reject; each must fail at load, before any
@@ -491,6 +564,12 @@ class TestPrintConfig:
 
     def test_unknown_key_is_data_error(self):
         assert main(["print-config", "--set", "modes=beamforming"]) == EXIT_DATA
+
+    def test_seed_is_not_a_pipeline_key(self, tmp_path, capsys):
+        # the pipeline is deterministic: nothing would read a seed
+        assert "seed" in _assert_data_error(capsys, ["print-config", "--set", "seed=5"])
+        argv = ["separate", str(tmp_path / "absent.wav"), str(tmp_path / "sep")]
+        assert "unknown config key" in _assert_data_error(capsys, argv + ["--set", "seed=5"])
 
     def test_set_without_equals_is_data_error(self, capsys):
         assert main(["print-config", "--set", "foo"]) == EXIT_DATA

@@ -144,11 +144,10 @@ class TestPipelineConfig:
 
     def test_file_and_overrides(self, tmp_path):
         path = _write(tmp_path, "mode = beamforming\nwpe_taps = 8\n")
-        config = load_pipeline_config(path, {"dereverb": "true", "seed": "5"})
+        config = load_pipeline_config(path, {"dereverb": "true"})
         assert config.mode == "beamforming"
         assert config.wpe.taps == 8
         assert config.dereverb is True
-        assert config.seed == 5
 
     def test_unknown_key(self, tmp_path):
         path = _write(tmp_path, "fft_sizes = 256\n")

@@ -1,8 +1,13 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.io.wavfile
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from unmix.errors import FormatError, RangeError
 from unmix.masks import MaskSet
@@ -111,6 +116,29 @@ def test_mask_container_round_trip(tmp_path, rng):
         # float32 is the container precision
         np.testing.assert_allclose(copy.speech, orig.speech, atol=1e-7)
         np.testing.assert_allclose(copy.noise, orig.noise, atol=1e-7)
+
+
+@st.composite
+def _mask_stacks(draw):
+    """(windows, 3, frames, bins) masks in [0, 1], endpoints and subnormals included."""
+    windows, frames, bins = (draw(st.integers(1, n)) for n in (4, 12, 12))
+    return draw(arrays(np.float64, (windows, 3, frames, bins), elements=st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(masks=_mask_stacks(), hop=st.integers(0, 2**32 - 1))
+def test_mask_container_round_trip_returns_float32_masks_and_hop(masks, hop):
+    sets = [MaskSet(speech=m[:2], noise=m[2]) for m in masks]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "masks.umxm"
+        write_mask_file(path, sets, hop_frames=hop)
+        back, hop_back = read_mask_file(path)
+    assert hop_back == hop
+    assert len(back) == len(sets)
+    expected = masks.astype(np.float32).astype(np.float64)
+    for c, mset in enumerate(back):
+        np.testing.assert_array_equal(mset.speech, expected[c, :2])
+        np.testing.assert_array_equal(mset.noise, expected[c, 2])
 
 
 def test_mask_container_shapes(tmp_path, rng):
