@@ -8,6 +8,7 @@ import logging
 import os
 import sys
 import time
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +34,15 @@ from .metrics import (
     channel_leakage_db,
     check_nonmixing,
 )
-from .signal_io import MultichannelWave, read_wave, write_wave
+from .signal_io import MultichannelWave, WaveReader, WaveWriter, read_wave, write_wave
 from .simulator import make_mixture, speech_like_source
-from .stft import analyze, synthesize
-from .stitcher import plan_windows, run_pipeline
+from .stft import OverlapAdd, StftFrames, analyze
+from .stitcher import plan_windows, separate_windows
+
+# bench/spans.py times these by their names in this module, which separate
+# no longer calls; kept so that its hooks still resolve
+from .stft import synthesize  # noqa: F401
+from .stitcher import run_pipeline  # noqa: F401
 
 log = logging.getLogger("unmix")
 
@@ -126,6 +132,14 @@ def _read_truth_wave(path, num_samples, sample_rate):
     return wave.samples[:, :num_samples]
 
 
+def _read_truth_track(path, num_samples, sample_rate):
+    """A source or noise reference of the truth, which is mono."""
+    samples = _read_truth_wave(path, num_samples, sample_rate)
+    if len(samples) != 1:
+        raise FormatError(f"{path} has {len(samples)} channels; a truth track is mono")
+    return samples[0]
+
+
 def _read_truth_meta(path):
     """truth.json as simulate writes it: `utterances`, an `assignment` of
     output 0 or 1 per utterance and, optionally (evaluate needs it), one
@@ -172,12 +186,12 @@ def _load_truth(truth_dir, num_samples, sample_rate):
         raise ConfigurationError(f"missing truth metadata {meta_path}")
     meta = _read_truth_meta(meta_path)
     sources = [
-        _read_truth_wave(truth_dir / f"source{k}.wav", num_samples, sample_rate)[0]
+        _read_truth_track(truth_dir / f"source{k}.wav", num_samples, sample_rate)
         for k in range(meta["utterances"])
     ]
     noise_path = truth_dir / "noise_ref.wav"
     if noise_path.exists():
-        noise = _read_truth_wave(noise_path, num_samples, sample_rate)[0]
+        noise = _read_truth_track(noise_path, num_samples, sample_rate)
     else:
         noise = np.zeros(num_samples)
     channel_sources = [np.zeros(num_samples), np.zeros(num_samples)]
@@ -186,16 +200,14 @@ def _load_truth(truth_dir, num_samples, sample_rate):
     return meta, sources, channel_sources, noise
 
 
-def _make_provider(config, spec, input_wave, plan):
+def _make_provider(config, spec, wave, plan):
     if config.mask_provider == "oracle":
         if not config.truth_dir:
             raise ConfigurationError(
                 "oracle mask provider requires truth_dir pointing at simulate output"
             )
-        rate = input_wave.sample_rate
-        _, _, channel_sources, noise = _load_truth(
-            config.truth_dir, input_wave.samples.shape[1], rate
-        )
+        rate = wave.sample_rate
+        _, _, channel_sources, noise = _load_truth(config.truth_dir, wave.num_samples, rate)
         source_specs = [
             analyze(MultichannelWave(s, rate), config.stft) for s in channel_sources
         ]
@@ -227,45 +239,57 @@ def _parse_overrides(pairs):
     return overrides
 
 
+def _open_output(path, sample_rate, num_samples):
+    try:
+        return WaveWriter(path, sample_rate, 1, num_samples, dtype="float32")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write to {path}: {exc.strerror or exc}") from exc
+
+
 def cmd_separate(args):
     overrides = _parse_overrides(args.set)
     if args.truth_dir:
         overrides["truth_dir"] = args.truth_dir
     config = load_pipeline_config(args.config, overrides)
     geometry = config.geometry()
-    input_wave = read_wave(args.input)
-    if input_wave.channel_count != geometry.channel_count:
+    reader = WaveReader(args.input)
+    if reader.channel_count != geometry.channel_count:
         raise ConfigurationError(
-            f"input has {input_wave.channel_count} channels, geometry expects "
+            f"input has {reader.channel_count} channels, geometry expects "
             f"{geometry.channel_count}"
         )
     started = time.monotonic()
-    spec = analyze(input_wave, config.stft)
-    if config.dereverb:
-        spec = wpe_stream(spec, config.wpe)
-    provider = _make_provider(config, spec, input_wave, config.plan)
-    out0, out1 = run_pipeline(
-        spec,
-        provider,
-        config.plan,
-        config.mode,
-        geometry,
-        merge_threshold_deg=config.doa_merge_threshold_deg,
-    )
+    frames = StftFrames(reader, config.stft)
+
+    # The streams are written as the windows are separated, under temporary
+    # names that replace out0.wav/out1.wav only once both are complete.
+    outdir = _output_dir(args.output)
+    partial = [outdir / f".out{i}.wav.partial" for i in (0, 1)]
+    with ExitStack() as stack:
+        writers = [
+            stack.enter_context(_open_output(path, reader.sample_rate, reader.num_samples))
+            for path in partial
+        ]
+        spec = wpe_stream(analyze(reader, config.stft), config.wpe) if config.dereverb else frames
+        # after WPE, whose peak memory the oracle provider's set-up would raise
+        provider = _make_provider(config, frames, reader, config.plan)
+        overlap_add = OverlapAdd(config.stft, 2, spec.frame_count)
+        for _, _, window_out in separate_windows(
+            spec,
+            provider,
+            config.plan,
+            config.mode,
+            geometry,
+            merge_threshold_deg=config.doa_merge_threshold_deg,
+        ):
+            for writer, samples in zip(writers, overlap_add.push(window_out)):
+                writer.write(samples[np.newaxis])
+        for writer in writers:  # the samples past the last full frame
+            writer.write(np.zeros((1, writer.remaining)))
+    for i, path in enumerate(partial):
+        os.replace(path, outdir / f"out{i}.wav")
     elapsed = time.monotonic() - started
 
-    outdir = _output_dir(args.output)
-    num_samples = input_wave.samples.shape[1]
-    for i, stream in enumerate((out0, out1)):
-        wave = synthesize(stream)
-        padded = np.zeros(num_samples)
-        n = min(num_samples, wave.samples.shape[1])
-        padded[:n] = wave.samples[0, :n]
-        write_wave(
-            MultichannelWave(padded, input_wave.sample_rate),
-            outdir / f"out{i}.wav",
-            dtype="float32",
-        )
     config_text = pipeline_config_text(config)
     manifest = {
         "tool": "unmix",

@@ -7,7 +7,11 @@ import numpy as np
 
 from .beamformer import sig_cov
 from .errors import NoSignalError, ShapeError
-from .signal_io import SPEED_OF_SOUND, read_mask_file
+from .signal_io import SPEED_OF_SOUND, MaskFile
+
+# bench/spans.py times read_mask_file by its name in this module, which
+# FileMaskProvider no longer calls; kept so that its hook still resolves
+from .signal_io import read_mask_file  # noqa: F401
 
 EPS = 1e-10
 
@@ -178,19 +182,21 @@ class OracleMaskProvider:
 
 
 class FileMaskProvider:
-    """Serves precomputed mask windows from a mask container file.
+    """Serves precomputed mask windows from a mask container file, reading
+    one window per call.
 
     window_count, window_frames, bins and hop_frames describe the container;
     the caller checks them against the pipeline before asking for windows.
     """
 
     def __init__(self, path):
-        self._sets, self.hop_frames = read_mask_file(path)
-        self.window_count = len(self._sets)
-        self.window_frames, self.bins = self._sets[0].speech.shape[1:]
+        self._windows = MaskFile(path)
+        self.window_count = len(self._windows)
+        self.hop_frames = self._windows.hop_frames
+        self.window_frames, self.bins = self._windows.window_frames, self._windows.bins
 
     def mask_for_window(self, window_index, start, end):
-        return self._sets[window_index]
+        return self._windows[window_index]
 
 
 class ChannelSwappingProvider:

@@ -110,15 +110,18 @@ def check_nonmixing(assignment, activity):
     a channel are simultaneously active.
     """
     activity = [np.asarray(a, dtype=bool) for a in activity]
+    if len(assignment) != len(activity):
+        raise ValueError(
+            f"assignment covers {len(assignment)} utterances, activity {len(activity)}"
+        )
+    if any(ch < 0 for ch in assignment):
+        raise ValueError(f"assignment names a negative output channel: {list(assignment)}")
     if not activity:
         return 0.0
     n = len(activity[0])
     for a in activity:
         if len(a) != n:
             raise ShapeError("activity arrays must share one length")
-    for k in assignment:
-        if not 0 <= k < len(activity):
-            raise ValueError(f"assignment references unknown utterance {k}")
     by_channel = {}
     for k, ch in enumerate(assignment):
         by_channel.setdefault(ch, []).append(activity[k])

@@ -1,7 +1,9 @@
 """Multichannel audio and mask-container I/O plus canonical in-memory buffers."""
 
 import logging
+import os
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,14 @@ class MultichannelWave:
     @property
     def channel_count(self):
         return self.samples.shape[0]
+
+    @property
+    def num_samples(self):
+        return self.samples.shape[1]
+
+    def read(self, lo, hi):
+        """Samples [lo, hi) as a (channels, hi - lo) view."""
+        return self.samples[:, lo:hi]
 
 
 @dataclass
@@ -74,30 +84,150 @@ def circular_array(channels=7, radius=0.0425, center_mic=True):
     return ArrayGeometry(positions=positions, reference_index=0)
 
 
+_BLOCK_SAMPLES = 1 << 16  # samples per channel in one block of the finite-sample check
+
+
+class WaveReader:
+    """A PCM16 or IEEE-float WAV file opened for block reads.
+
+    The header is parsed once and the samples are checked to be finite in
+    one blockwise pass; after that, read(lo, hi) reads just the samples it
+    is asked for, so a long recording is never held whole. Shares
+    channel_count, sample_rate, num_samples and read() with MultichannelWave.
+    """
+
+    def __init__(self, path):
+        try:
+            # mmap=True parses the header without reading the samples; they
+            # are read below with plain file reads, because mapped pages
+            # would count toward the process's resident memory
+            rate, data = scipy.io.wavfile.read(path, mmap=True)
+        except (OSError, ValueError, struct.error, EOFError) as exc:
+            raise FormatError(f"cannot read WAV file {path}: {exc}") from exc
+        if (data.dtype.kind, data.dtype.itemsize) not in {("i", 2), ("f", 4), ("f", 8)}:
+            raise UnsupportedFormatError(
+                f"unsupported WAV sample format {data.dtype} in {path}"
+            )
+        if rate <= 0:
+            raise FormatError(f"WAV file {path} has sample rate {rate}")
+        self.path = path
+        self.sample_rate = int(rate)
+        self.num_samples = data.shape[0]
+        self.channel_count = 1 if data.ndim == 1 else data.shape[1]
+        self._dtype = data.dtype
+        self._offset = data.offset or 0  # an empty data chunk is not mapped
+        del data
+        if self._dtype.kind == "f":
+            for lo in range(0, self.num_samples, _BLOCK_SAMPLES):
+                block = self.read(lo, min(lo + _BLOCK_SAMPLES, self.num_samples))
+                if not np.all(np.isfinite(block)):
+                    raise FormatError(f"non-finite samples in WAV file {path}")
+
+    def read(self, lo, hi):
+        """Samples [lo, hi), 0 <= lo <= hi <= num_samples, as a (channels,
+        hi - lo) float64 array normalized to [-1, 1)."""
+        frame_bytes = self.channel_count * self._dtype.itemsize
+        count = hi - lo
+        with open(self.path, "rb") as fh:
+            fh.seek(self._offset + lo * frame_bytes)
+            raw = fh.read(count * frame_bytes)
+        if len(raw) != count * frame_bytes:
+            raise FormatError(f"WAV file {self.path} ended before its declared length")
+        data = np.frombuffer(raw, dtype=self._dtype).reshape(count, self.channel_count)
+        if self._dtype.kind == "i":
+            return (data.astype(np.float64) / 32768.0).T
+        return data.astype(np.float64).T
+
+
 def read_wave(path):
     """Read a PCM16 or IEEE-float WAV file into a MultichannelWave.
 
     Samples are normalized to [-1, 1).
     """
-    try:
-        rate, data = scipy.io.wavfile.read(path)
-    except (OSError, ValueError, struct.error, EOFError) as exc:
-        raise FormatError(f"cannot read WAV file {path}: {exc}") from exc
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype in (np.float32, np.float64):
-        if not np.all(np.isfinite(data)):
-            raise FormatError(f"non-finite samples in WAV file {path}")
-        samples = data.astype(np.float64)
-    else:
-        raise UnsupportedFormatError(
-            f"unsupported WAV sample format {data.dtype} in {path}"
-        )
-    if samples.ndim == 1:
-        samples = samples[np.newaxis, :]
-    else:
-        samples = samples.T  # wavfile gives (time, channels)
-    return MultichannelWave(samples=samples, sample_rate=int(rate))
+    reader = WaveReader(path)
+    return MultichannelWave(reader.read(0, reader.num_samples), reader.sample_rate)
+
+
+class WaveWriter:
+    """Appends blocks of samples to a PCM16 or float32 WAV file whose length
+    is known before the first block.
+
+    The header is written first; the finished file's bytes equal those that
+    scipy.io.wavfile.write gives for the same samples. PCM16 values beyond
+    [-1, 1) saturate, with a logged warning. Use it as a context manager:
+    leaving the block by an exception, or with samples still missing,
+    removes the file, so no file cut short is left behind.
+    """
+
+    def __init__(self, path, sample_rate, channels, num_samples, dtype="int16"):
+        if dtype not in ("int16", "float32"):
+            raise ValueError(f"unsupported output dtype {dtype}")
+        self.path = path
+        self.remaining = num_samples
+        self._dtype = np.dtype(dtype).newbyteorder("<")
+        self._channels = channels
+        self._peak = 0.0
+        header = _wav_header(sample_rate, channels, self._dtype, num_samples)
+        self._fh = open(path, "wb")
+        self._fh.write(header)
+
+    def write(self, samples):
+        """Append samples (channels, n), n at most `remaining`."""
+        samples = np.asarray(samples, dtype=np.float64)
+        if samples.shape[0] != self._channels or samples.shape[1] > self.remaining:
+            raise ValueError(
+                f"block of shape {samples.shape} does not fit {self._channels} channels "
+                f"with {self.remaining} samples left"
+            )
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("samples must be finite")
+        if self._dtype.kind == "i":
+            self._peak = max(self._peak, np.max(np.abs(samples), initial=0.0))
+            samples = np.round(np.clip(samples, -1.0, 32767.0 / 32768.0) * 32768.0)
+        self._fh.write(samples.T.astype(self._dtype).tobytes())
+        self.remaining -= samples.shape[1]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self._fh.close()
+        if exc_type is not None or self.remaining:
+            os.unlink(self.path)
+            if exc_type is None:
+                raise ValueError(f"{self.path} ended {self.remaining} samples short")
+        elif self._peak > 1.0:
+            log.warning(
+                "clipping %s: peak amplitude %.3f exceeds full scale", self.path, self._peak
+            )
+
+
+def _wav_header(sample_rate, channels, dtype, num_samples):
+    """scipy.io.wavfile.write's header for num_samples samples of dtype."""
+    is_float = dtype.kind == "f"
+    block_align = channels * dtype.itemsize
+    data_bytes = num_samples * block_align
+    fmt = struct.pack(
+        "<HHIIHH",
+        3 if is_float else 1,  # IEEE float or PCM
+        channels,
+        sample_rate,
+        sample_rate * block_align,
+        block_align,
+        8 * dtype.itemsize,
+    )
+    fact = b""
+    if is_float:
+        fmt += b"\x00\x00"  # cbSize of a non-PCM format
+        fact = b"fact" + struct.pack("<II", 4, num_samples)
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt + fact
+    riff_bytes = 4 + len(chunks) + 8 + data_bytes
+    if riff_bytes > 0xFFFFFFFF:
+        raise ValueError("WAV output beyond 4 GiB is not supported")
+    return (
+        b"RIFF" + struct.pack("<I", riff_bytes) + b"WAVE" + chunks
+        + b"data" + struct.pack("<I", data_bytes)
+    )
 
 
 def write_wave(wave, path, dtype="int16"):
@@ -106,19 +236,8 @@ def write_wave(wave, path, dtype="int16"):
     Values beyond [-1, 1) saturate, with a logged warning.
     """
     samples = wave.samples
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("samples must be finite")
-    if dtype == "int16":
-        peak = np.max(np.abs(samples), initial=0.0)
-        if peak > 1.0:
-            log.warning("clipping %s: peak amplitude %.3f exceeds full scale", path, peak)
-        scaled = np.clip(samples, -1.0, 32767.0 / 32768.0)
-        data = np.round(scaled * 32768.0).astype(np.int16)
-    elif dtype == "float32":
-        data = samples.astype(np.float32)
-    else:
-        raise ValueError(f"unsupported output dtype {dtype}")
-    scipy.io.wavfile.write(path, wave.sample_rate, data.T.copy())
+    with WaveWriter(path, wave.sample_rate, len(samples), samples.shape[1], dtype) as writer:
+        writer.write(samples)
 
 
 _MASK_HEADER = struct.Struct("<4sIIIIII")  # magic, version, heads, frames, bins, windows, hop
@@ -148,41 +267,65 @@ def write_mask_file(path, mask_sets, hop_frames):
 
 
 def read_mask_file(path):
-    """Read a mask container; returns (list of MaskSet, hop_frames)."""
-    from .masks import MaskSet
+    """Read a whole mask container; returns (list of MaskSet, hop_frames)."""
+    container = MaskFile(path)
+    return list(container), container.hop_frames
 
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise FormatError(f"cannot read mask file {path}: {exc.strerror or exc}") from exc
-    with fh:
-        header = fh.read(_MASK_HEADER.size)
-        if len(header) < _MASK_HEADER.size:
-            raise FormatError(f"truncated mask header in {path}")
-        magic, version, heads, frames, bins_, windows, hop = _MASK_HEADER.unpack(header)
-        if magic != MASK_MAGIC:
-            raise FormatError(f"bad magic {magic!r} in {path}")
-        if version != MASK_VERSION:
-            raise UnsupportedFormatError(f"unsupported mask container version {version}")
-        if heads != 3:
-            raise FormatError(f"expected 3 heads, found {heads}")
-        if windows == 0:
-            raise FormatError(f"mask file {path} holds no windows")
-        payload = fh.read()
-    expected = windows * heads * frames * bins_ * 4
-    if len(payload) != expected:
-        raise FormatError(
-            f"mask payload size mismatch in {path}: expected {expected} bytes, "
-            f"found {len(payload)}"
-        )
-    data = np.frombuffer(payload, dtype="<f4").reshape(windows, heads, frames, bins_)
-    if data.size and (data.min() < 0.0 or data.max() > 1.0):
-        raise RangeError(f"mask values outside [0, 1] in {path}")
-    sets = [
-        MaskSet(
-            speech=data[c, :2].astype(np.float64),
-            noise=data[c, 2].astype(np.float64),
-        )
-        for c in range(windows)
-    ]
-    return sets, hop
+
+class MaskFile(Sequence):
+    """A mask container opened for window reads.
+
+    The header, the payload size and the [0, 1] range of every value are
+    checked on opening, in one pass that reads one window at a time. After
+    that, indexing reads one window from the file as a MaskSet. hop_frames,
+    window_frames and bins describe the container.
+    """
+
+    def __init__(self, path):
+        try:
+            fh = open(path, "rb")
+        except OSError as exc:
+            raise FormatError(f"cannot read mask file {path}: {exc.strerror or exc}") from exc
+        with fh:
+            header = fh.read(_MASK_HEADER.size)
+            if len(header) < _MASK_HEADER.size:
+                raise FormatError(f"truncated mask header in {path}")
+            magic, version, heads, frames, bins_, windows, hop = _MASK_HEADER.unpack(header)
+            if magic != MASK_MAGIC:
+                raise FormatError(f"bad magic {magic!r} in {path}")
+            if version != MASK_VERSION:
+                raise UnsupportedFormatError(f"unsupported mask container version {version}")
+            if heads != 3:
+                raise FormatError(f"expected 3 heads, found {heads}")
+            if windows == 0:
+                raise FormatError(f"mask file {path} holds no windows")
+            self.path = path
+            self.hop_frames, self.window_frames, self.bins = hop, frames, bins_
+            self._count = windows
+            self._window_bytes = heads * frames * bins_ * 4
+            payload = os.fstat(fh.fileno()).st_size - _MASK_HEADER.size
+            expected = windows * self._window_bytes
+            if payload != expected:
+                raise FormatError(
+                    f"mask payload size mismatch in {path}: expected {expected} bytes, "
+                    f"found {payload}"
+                )
+            for _ in range(windows):
+                data = np.frombuffer(fh.read(self._window_bytes), dtype="<f4")
+                if data.size and not (data.min() >= 0.0 and data.max() <= 1.0):
+                    raise RangeError(f"mask values outside [0, 1] in {path}")
+
+    def __len__(self):
+        return self._count
+
+    def __getitem__(self, index):
+        from .masks import MaskSet
+
+        index = range(self._count)[index]
+        with open(self.path, "rb") as fh:
+            fh.seek(_MASK_HEADER.size + index * self._window_bytes)
+            raw = fh.read(self._window_bytes)
+        if len(raw) != self._window_bytes:
+            raise FormatError(f"mask file {self.path} ended inside window {index}")
+        data = np.frombuffer(raw, dtype="<f4").reshape(3, self.window_frames, self.bins)
+        return MaskSet(speech=data[:2].astype(np.float64), noise=data[2].astype(np.float64))

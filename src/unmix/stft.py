@@ -77,45 +77,128 @@ class Spectrogram:
     def frame_rate(self):
         return self.sample_rate / self.config.hop
 
+    def frames(self, start, end):
+        """Frames [start, end), the frame interface StftFrames shares."""
+        return self.data[:, start:end]
+
+
+_CHUNK_FRAMES = 64  # frames per transform when a whole Spectrogram is collected
+
+
+class StftFrames:
+    """STFT frames of a sample source, computed one frame range at a time.
+
+    source: a MultichannelWave or a signal_io.WaveReader (channel_count,
+    sample_rate, num_samples and read(lo, hi)). Frame t covers samples
+    [t*hop, t*hop + window_size); only full frames exist (no padding).
+    Ranges are asked for in order of their starts. The frames a range shares
+    with the previous one are carried over; only the frames past the
+    previous range's end are transformed, from just the samples they cover.
+    """
+
+    def __init__(self, source, config=None):
+        self.config = config or StftConfig()
+        self.sample_rate = source.sample_rate
+        self.channel_count = source.channel_count
+        self.frame_count = self.config.frame_count(source.num_samples)
+        self.bins = self.config.bins
+        self._source = source
+        self._start = self._end = 0
+        self._data = np.empty((self.channel_count, 0, self.bins), dtype=np.complex128)
+
+    def frames(self, start, end):
+        """Frames [start, end) as a (channels, end - start, bins) array."""
+        if not self._start <= start <= end <= self.frame_count:
+            raise ValueError(
+                f"frames [{start}, {end}) are out of order or past {self.frame_count}"
+            )
+        kept = self._data[:, start - self._start : max(min(end, self._end) - self._start, 0)]
+        first = max(start, self._end)
+        if first < end:
+            config = self.config
+            samples = self._source.read(
+                first * config.hop, (end - 1) * config.hop + config.window_size
+            )
+            idx = np.arange(config.window_size)[np.newaxis, :] + (
+                config.hop * np.arange(end - first)[:, np.newaxis]
+            )
+            new = np.fft.rfft(samples[:, idx] * config.window(), n=config.fft_size, axis=2)
+            kept = np.concatenate([kept, new], axis=1) if kept.shape[1] else new
+        self._data, self._start, self._end = kept, start, end
+        return kept
+
+    def spectrogram(self):
+        """All frames as one Spectrogram, transformed a chunk at a time."""
+        data = np.empty((self.channel_count, self.frame_count, self.bins), np.complex128)
+        for lo in range(0, self.frame_count, _CHUNK_FRAMES):
+            hi = min(lo + _CHUNK_FRAMES, self.frame_count)
+            data[:, lo:hi] = self.frames(lo, hi)
+        return Spectrogram(data=data, config=self.config, sample_rate=self.sample_rate)
+
 
 def analyze(wave, config=None):
-    """Transform a MultichannelWave to a Spectrogram.
+    """Transform a MultichannelWave (or any StftFrames source) to a
+    Spectrogram of all its full frames."""
+    return StftFrames(wave, config).spectrogram()
 
-    Frame t covers samples [t*hop, t*hop + window_size); only full frames are
-    produced (no padding), so every channel shares the same frame grid.
+
+class OverlapAdd:
+    """Overlap-add inverse STFT of frames pushed in order, with
+    synthesis-window normalization.
+
+    Each push returns the samples that no later frame overlaps; the push of
+    the last frame returns the rest, up to (frame_count - 1) * hop +
+    window_size samples in all. Reconstruction is exact wherever the
+    window-square sum is at its interior value. Near the edges the
+    normalization is floored at 1e-2 of its largest value, so that modified
+    (non-windowed-consistent) spectrograms cannot be amplified by the
+    vanishing window tails. The samples equal a whole-signal overlap-add:
+    each is accumulated in the same order.
     """
-    config = config or StftConfig()
-    x = wave.samples
-    frames = config.frame_count(x.shape[1])
-    win = config.window()
-    idx = np.arange(config.window_size)[np.newaxis, :] + (
-        config.hop * np.arange(frames)[:, np.newaxis]
-    )
-    segments = x[:, idx] * win  # (J, T, window)
-    data = np.fft.rfft(segments, n=config.fft_size, axis=2)
-    return Spectrogram(data=data, config=config, sample_rate=wave.sample_rate)
+
+    def __init__(self, config, channels, frame_count):
+        self.config = config
+        self._remaining = frame_count
+        overlap = config.window_size - config.hop
+        self._out = np.zeros((channels, overlap))  # sums the next frame adds to
+        self._norm = np.zeros(overlap)
+        # the window-square sum takes the same set of values for every frame
+        # count from window_size / hop up, so its largest value is found
+        # from that many frames at most
+        probe = min(frame_count, config.window_size // config.hop)
+        norm = np.zeros((probe - 1) * config.hop + config.window_size)
+        for t in range(probe):
+            norm[t * config.hop : t * config.hop + config.window_size] += config.window() ** 2
+        self._floor = 1e-2 * np.max(norm)
+
+    def push(self, data):
+        """Spectra (channels, n, bins) of the next n frames; returns the
+        (channels, samples) float64 samples they complete."""
+        config = self.config
+        hop, size = config.hop, config.window_size
+        n = data.shape[1]
+        if n > self._remaining:
+            raise ShapeError(f"{n} frames pushed, {self._remaining} left")
+        self._remaining -= n
+        segments = np.fft.irfft(data, n=config.fft_size, axis=2)[:, :, :size]
+        win = config.window()
+        overlap = self._norm.size
+        out = np.zeros((len(self._out), n * hop + overlap))
+        norm = np.zeros(n * hop + overlap)
+        out[:, :overlap] = self._out
+        norm[:overlap] = self._norm
+        for t in range(n):
+            out[:, t * hop : t * hop + size] += segments[:, t] * win
+            norm[t * hop : t * hop + size] += win**2
+        done = n * hop if self._remaining else out.shape[1]
+        self._out, self._norm = out[:, done:], norm[done:]
+        return out[:, :done] / np.maximum(norm[:done], self._floor)
 
 
 def synthesize(spec):
-    """Overlap-add inverse STFT with synthesis-window normalization.
+    """Overlap-add inverse STFT of a whole Spectrogram (see OverlapAdd).
 
-    Output length is (frames - 1) * hop + window_size; reconstruction is exact
-    wherever the window-square sum is at its interior value. Near the edges
-    the normalization is floored so that modified (non-windowed-consistent)
-    spectrograms cannot be amplified by the vanishing window tails.
+    Output length is (frames - 1) * hop + window_size.
     """
-    config = spec.config
-    frames = spec.frame_count
-    win = config.window()
-    segments = np.fft.irfft(spec.data, n=config.fft_size, axis=2)[
-        :, :, : config.window_size
-    ]
-    num_samples = (frames - 1) * config.hop + config.window_size
-    out = np.zeros((spec.channel_count, num_samples))
-    norm = np.zeros(num_samples)
-    for t in range(frames):
-        start = t * config.hop
-        out[:, start : start + config.window_size] += segments[:, t] * win
-        norm[start : start + config.window_size] += win**2
-    out /= np.maximum(norm, 1e-2 * np.max(norm))
-    return MultichannelWave(samples=out, sample_rate=spec.sample_rate)
+    ola = OverlapAdd(spec.config, spec.channel_count, spec.frame_count)
+    return MultichannelWave(samples=ola.push(spec.data), sample_rate=spec.sample_rate)

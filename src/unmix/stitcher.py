@@ -105,7 +105,7 @@ def align_and_emit(state, window_masks, window_ref_mag, window_range):
     return new_state, emit, permuted
 
 
-def run_pipeline(
+def separate_windows(
     spec,
     provider,
     plan,
@@ -114,28 +114,28 @@ def run_pipeline(
     merge_threshold_deg=15.0,
     interference_mode="ssn",
 ):
-    """Run the full separation pipeline over a multichannel spectrogram.
+    """Run the separation pipeline window by window.
 
-    mode "masking" applies the stitched masks to the reference channel;
-    mode "beamforming" additionally merges same-direction heads and runs the
-    MVDR beamformer per window. Returns a pair of single-channel
-    Spectrograms covering the full input length.
+    spec: a Spectrogram or StftFrames; each window's frames are asked for
+    through spec.frames(start, end), in order. mode "masking" applies the
+    stitched masks to the reference channel; mode "beamforming"
+    additionally merges same-direction heads and runs the MVDR beamformer
+    per window. Yields (emit_lo, emit_hi, frames) for each window: the
+    (2, emit_hi - emit_lo, bins) output spectra of the frames it emits. The
+    emitted ranges follow each other and cover [0, spec.frame_count).
     """
     if mode not in ("masking", "beamforming"):
         raise ValueError(f"unknown mode {mode!r}")
     ref = geometry.reference_index
-    total = spec.frame_count
-    windows = plan_windows(total, plan)
-    out = np.zeros((2, total, spec.bins), dtype=np.complex128)
     state = StitchState()
-    for c, (start, end) in enumerate(windows):
+    for c, (start, end) in enumerate(plan_windows(spec.frame_count, plan)):
         mset = provider.mask_for_window(c, start, end)
         mset = normalize_masks(mset)
-        window_data = spec.data[:, start:end]
-        window_slice = Spectrogram(
-            data=window_data, config=spec.config, sample_rate=spec.sample_rate
-        )
+        window_data = spec.frames(start, end)
         if mode == "beamforming":
+            window_slice = Spectrogram(
+                data=window_data, config=spec.config, sample_rate=spec.sample_rate
+            )
             mset = merge_heads_if_same_doa(
                 mset, window_slice, geometry, threshold_deg=merge_threshold_deg
             )
@@ -149,11 +149,26 @@ def run_pipeline(
             window_out = beamform_window(
                 window_data, permuted, ref, interference_mode=interference_mode
             )
-        out[:, emit_lo:emit_hi] = window_out[:, emit_lo - start : emit_hi - start]
-    streams = [
-        Spectrogram(
-            data=out[i : i + 1], config=spec.config, sample_rate=spec.sample_rate
-        )
+        yield emit_lo, emit_hi, window_out[:, emit_lo - start : emit_hi - start]
+
+
+def run_pipeline(
+    spec,
+    provider,
+    plan,
+    mode,
+    geometry,
+    merge_threshold_deg=15.0,
+    interference_mode="ssn",
+):
+    """separate_windows over a whole Spectrogram, collected into a pair of
+    single-channel Spectrograms covering the full input length."""
+    out = np.zeros((2, spec.frame_count, spec.bins), dtype=np.complex128)
+    for emit_lo, emit_hi, frames in separate_windows(
+        spec, provider, plan, mode, geometry, merge_threshold_deg, interference_mode
+    ):
+        out[:, emit_lo:emit_hi] = frames
+    return tuple(
+        Spectrogram(data=out[i : i + 1], config=spec.config, sample_rate=spec.sample_rate)
         for i in range(2)
-    ]
-    return streams[0], streams[1]
+    )

@@ -1,15 +1,18 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from unmix.cli import EXIT_DATA, EXIT_OK, main
+import unmix.cli
+from unmix.cli import EXIT_DATA, EXIT_INVARIANT, EXIT_OK, main
 from unmix.config import load_pipeline_config
-from unmix.errors import ConfigurationError
+from unmix.errors import ConfigurationError, ShapeError
 from unmix.masks import MaskSet
 from unmix.metrics import best_permutation_eval
 from unmix.signal_io import MultichannelWave, read_wave, write_mask_file, write_wave
@@ -79,6 +82,55 @@ BAD_TRUTH = {
         {**meta, "activity_samples": [[-5, 10], [0, 10]]}
     ),
 }
+
+
+def _truth_with_stereo_source(tmp_path, scene):
+    """A copy of `scene` whose source0.wav holds two channels."""
+    truth = tmp_path / "truth"
+    shutil.copytree(scene, truth)
+    source = read_wave(truth / "source0.wav").samples
+    stereo = MultichannelWave(np.vstack([source, source]), 16000)
+    write_wave(stereo, truth / "source0.wav", dtype="float32")
+    return truth
+
+
+MEMORY_PROBE = """
+import sys
+from unmix.cli import main
+code = main(sys.argv[1:])
+hwm = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+print(code, int(hwm.split()[1]) / 1024.0)
+"""
+
+
+def _masking_peak_mb(tmp_path, seconds, rng):
+    """Peak RSS (MB) of `separate` in masking mode, in a fresh process, on
+    `seconds` of 7-channel noise with a random mask container."""
+    from unmix.stft import StftConfig
+    from unmix.stitcher import WindowPlan, plan_windows
+
+    rate = 16000
+    mixture = tmp_path / f"mixture{seconds}.wav"
+    samples = 0.1 * rng.standard_normal((seconds * rate, 7), dtype=np.float32)
+    scipy.io.wavfile.write(mixture, rate, samples)
+    del samples
+    plan, stft = WindowPlan(), StftConfig()
+    windows = len(plan_windows(stft.frame_count(seconds * rate), plan))
+    shapes = ((2, plan.window_frames, stft.bins), (plan.window_frames, stft.bins))
+    sets = [MaskSet(*(rng.uniform(0, 1, shape) for shape in shapes)) for _ in range(3)]
+    masks = tmp_path / f"masks{seconds}.umxm"
+    write_mask_file(masks, [sets[c % 3] for c in range(windows)], plan.hop_frames)
+    argv = ["separate", str(mixture), str(tmp_path / f"sep{seconds}")]
+    argv += ["--set", "mode=masking", "--set", f"mask_provider=file:{masks}"]
+    src = str(Path(unmix.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = subprocess.run(
+        [sys.executable, "-c", MEMORY_PROBE, *argv],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    code, peak_mb = probe.stdout.split()
+    assert int(code) == EXIT_OK, probe.stderr
+    return float(peak_mb)
 
 
 def _truth_with(tmp_path, scene, edit):
@@ -311,11 +363,52 @@ class TestSeparate:
         argv = ["separate", str(shared_scene / "mixture.wav"), str(tmp_path / "sep")]
         _assert_data_error(capsys, argv + ["--truth-dir", str(shared_scene)])
 
+    def test_unusable_output_path_exits_before_any_work(
+        self, tmp_path, capsys, shared_scene, monkeypatch
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work started before the output path was checked")
+
+        monkeypatch.setattr(unmix.cli, "separate_windows", unreachable)
+        monkeypatch.setattr(unmix.cli, "wpe_stream", unreachable)
+        (tmp_path / "sep").write_text("")
+        argv = ["separate", str(shared_scene / "mixture.wav"), str(tmp_path / "sep")]
+        argv += ["--truth-dir", str(shared_scene), "--set", "dereverb=true"]
+        _assert_data_error(capsys, argv)
+
+    def test_failed_run_leaves_no_partial_output(self, tmp_path, shared_scene, monkeypatch):
+        outdir = tmp_path / "sep"
+        outdir.mkdir()
+        (outdir / "out0.wav").write_bytes(b"an earlier run")
+        separate_windows = unmix.cli.separate_windows
+
+        def failing(*args, **kwargs):
+            windows = separate_windows(*args, **kwargs)
+            yield next(windows)
+            yield next(windows)
+            raise ShapeError("failure after two windows")
+
+        monkeypatch.setattr(unmix.cli, "separate_windows", failing)
+        argv = ["separate", str(shared_scene / "mixture.wav"), str(outdir)]
+        assert main(argv + ["--truth-dir", str(shared_scene)]) == EXIT_INVARIANT
+        assert [p.name for p in outdir.iterdir()] == ["out0.wav"]
+        assert (outdir / "out0.wav").read_bytes() == b"an earlier run"
+
+    def test_peak_memory_does_not_grow_with_the_recording(self, tmp_path, rng):
+        short = _masking_peak_mb(tmp_path, 20, rng)
+        long = _masking_peak_mb(tmp_path, 80, rng)
+        assert abs(long - short) < 15.0, (short, long)
+
     @pytest.mark.parametrize("edit", BAD_TRUTH.values(), ids=BAD_TRUTH.keys())
     def test_bad_truth_metadata_is_data_error(self, tmp_path, capsys, shared_scene, edit):
         truth = _truth_with(tmp_path, shared_scene, edit)
         argv = ["separate", str(shared_scene / "mixture.wav"), str(tmp_path / "sep")]
         assert "truth.json" in _assert_data_error(capsys, argv + ["--truth-dir", str(truth)])
+
+    def test_multichannel_truth_track_is_data_error(self, tmp_path, capsys, shared_scene):
+        truth = _truth_with_stereo_source(tmp_path, shared_scene)
+        argv = ["separate", str(shared_scene / "mixture.wav"), str(tmp_path / "sep")]
+        assert "source0.wav" in _assert_data_error(capsys, argv + ["--truth-dir", str(truth)])
 
     def test_file_provider_runs(self, tmp_path):
         scene = _simulate(tmp_path)
@@ -450,6 +543,26 @@ class TestEvaluate:
         for i in (0, 1):
             write_wave(MultichannelWave(np.zeros(4 * 16000), 16000), est / f"out{i}.wav")
         assert "truth.json" in _assert_data_error(capsys, ["evaluate", str(est), str(truth)])
+
+    def test_multichannel_truth_track_is_data_error(self, tmp_path, capsys, shared_scene):
+        truth = _truth_with_stereo_source(tmp_path, shared_scene)
+        est = tmp_path / "est"
+        est.mkdir()
+        for i in (0, 1):
+            write_wave(MultichannelWave(np.zeros(4 * 16000), 16000), est / f"out{i}.wav")
+        assert "source0.wav" in _assert_data_error(capsys, ["evaluate", str(est), str(truth)])
+
+    def test_one_utterance_on_output_one(self, tmp_path):
+        scene = _simulate(tmp_path, SCENE_NO_NOISE)
+        meta = json.loads((scene / "truth.json").read_text())
+        assert meta["assignment"] == [0]
+        sep = tmp_path / "sep"
+        argv = ["separate", str(scene / "mixture.wav"), str(sep), "--truth-dir", str(scene)]
+        assert main(argv) == EXIT_OK
+        (scene / "truth.json").write_text(json.dumps({**meta, "assignment": [1]}))
+        assert main(["evaluate", str(sep), str(scene)]) == EXIT_OK
+        report = json.loads((sep / "report.json").read_text())
+        assert report["nonmixing_violation_rate"] == 0.0
 
     @pytest.mark.parametrize(
         "channels0, samples1, rate1",

@@ -167,9 +167,20 @@ class TestCheckNonmixing:
         with pytest.raises(ShapeError):
             check_nonmixing((0, 0), [np.zeros(4, bool), np.zeros(5, bool)])
 
-    def test_unknown_utterance_raises(self):
-        with pytest.raises(ValueError):
-            check_nonmixing((0, 5), [np.zeros(4, bool), np.zeros(4, bool)])
+    def test_assignment_length_mismatch_raises(self):
+        with pytest.raises(ValueError, match="covers"):
+            check_nonmixing((0, 1, 0), [np.zeros(4, bool), np.zeros(4, bool)])
+        with pytest.raises(ValueError, match="covers"):
+            check_nonmixing((0,), [])
+
+    def test_negative_channel_raises(self):
+        with pytest.raises(ValueError, match="negative"):
+            check_nonmixing((0, -1), [np.zeros(4, bool), np.zeros(4, bool)])
+
+    def test_channel_numbers_are_not_utterance_indices(self):
+        # one utterance on output 1 is a valid assignment
+        assert check_nonmixing([1], [np.ones(4, bool)]) == 0.0
+        assert check_nonmixing((5, 5), [np.ones(4, bool), np.zeros(4, bool)]) == 0.0
 
 
 class TestChannelLeakage:

@@ -13,6 +13,8 @@ from unmix.errors import FormatError, RangeError
 from unmix.masks import MaskSet
 from unmix.signal_io import (
     MultichannelWave,
+    WaveReader,
+    WaveWriter,
     circular_array,
     read_mask_file,
     read_wave,
@@ -68,6 +70,56 @@ def test_non_finite_samples_are_format_error(tmp_path, bad):
     scipy.io.wavfile.write(path, 16000, data)
     with pytest.raises(FormatError, match="non-finite"):
         read_wave(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dtype=st.sampled_from(["int16", "float32"]),
+    channels=st.integers(1, 3),
+    samples=st.integers(0, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_wave_writer_in_blocks_writes_scipys_bytes(dtype, channels, samples, seed, data):
+    x = np.random.default_rng(seed).uniform(-1.2, 1.2, (channels, samples))
+    cuts = sorted(data.draw(st.lists(st.integers(0, samples), max_size=5)))
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = Path(tmp) / "ours.wav", Path(tmp) / "theirs.wav"
+        with WaveWriter(ours, 16000, channels, samples, dtype) as writer:
+            for lo, hi in zip([0, *cuts], [*cuts, samples]):
+                writer.write(x[:, lo:hi])
+        if dtype == "int16":
+            ref = np.round(np.clip(x, -1.0, 32767.0 / 32768.0) * 32768.0).astype(np.int16)
+        else:
+            ref = x.astype(np.float32)
+        scipy.io.wavfile.write(theirs, 16000, ref.T.copy())
+        assert ours.read_bytes() == theirs.read_bytes()
+
+
+def test_wave_writer_removes_a_file_left_short(tmp_path):
+    path = tmp_path / "short.wav"
+    with pytest.raises(ValueError, match="short"):
+        with WaveWriter(path, 16000, 1, 10, "float32") as writer:
+            writer.write(np.zeros((1, 4)))
+    assert not path.exists()
+    with pytest.raises(ValueError, match="finite"):
+        write_wave(MultichannelWave(np.full((1, 4), np.nan), 16000), path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.float32, np.float64])
+def test_wave_reader_blocks_equal_whole_read(tmp_path, rng, dtype):
+    x = rng.uniform(-0.9, 0.9, (3000, 3))
+    data = (x * 32767).astype(np.int16) if dtype == np.int16 else x.astype(dtype)
+    path = tmp_path / "w.wav"
+    scipy.io.wavfile.write(path, 8000, data)
+    reader = WaveReader(path)
+    assert (reader.channel_count, reader.num_samples, reader.sample_rate) == (3, 3000, 8000)
+    whole = read_wave(path).samples
+    expected = data.T / 32768.0 if dtype == np.int16 else data.T.astype(np.float64)
+    np.testing.assert_array_equal(whole, expected)
+    blocks = [reader.read(lo, hi) for lo, hi in ((0, 1000), (1000, 1001), (1001, 3000))]
+    np.testing.assert_array_equal(np.concatenate(blocks, axis=1), whole)
 
 
 def test_zero_wave_writes_zeros(tmp_path):
@@ -170,6 +222,19 @@ def test_out_of_range_mask_value_raises(tmp_path):
     raw = bytearray(path.read_bytes())
     header = 7 * 4
     raw[header : header + 4] = np.array([1.5], dtype="<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(RangeError):
+        read_mask_file(path)
+
+
+@pytest.mark.parametrize("bad", [-0.25, np.nan])
+def test_negative_or_nan_mask_value_in_a_later_window_raises(tmp_path, bad):
+    sets = _random_mask_sets(np.random.default_rng(0), windows=3, frames=4, bins=5)
+    path = tmp_path / "m.umxm"
+    write_mask_file(path, sets, hop_frames=1)
+    raw = bytearray(path.read_bytes())
+    at = 7 * 4 + 2 * (3 * 4 * 5 * 4) + 7 * 4  # the 8th value of window 2
+    raw[at : at + 4] = np.array([bad], dtype="<f4").tobytes()
     path.write_bytes(bytes(raw))
     with pytest.raises(RangeError):
         read_mask_file(path)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from unmix.errors import InsufficientInputError, ShapeError
 from unmix.signal_io import MultichannelWave
-from unmix.stft import Spectrogram, StftConfig, analyze, synthesize
+from unmix.stft import OverlapAdd, Spectrogram, StftConfig, StftFrames, analyze, synthesize
 
 
 def naive_windowed_dft(x, config):
@@ -132,3 +132,106 @@ def test_parseval_consistency(rng):
 def test_bin_mismatch_raises():
     with pytest.raises(ShapeError):
         Spectrogram(np.zeros((1, 4, 100)), StftConfig(), 16000)
+
+
+def whole_signal_stft(x, config):
+    """The STFT of every full frame in one transform: the reference that
+    frames computed a range at a time must equal bit for bit."""
+    frames = config.frame_count(x.shape[1])
+    idx = np.arange(config.window_size)[np.newaxis, :] + (
+        config.hop * np.arange(frames)[:, np.newaxis]
+    )
+    return np.fft.rfft(x[:, idx] * config.window(), n=config.fft_size, axis=2)
+
+
+def whole_signal_overlap_add(data, config):
+    """Overlap-add of all frames into one buffer, normalized by the floored
+    window-square sum: the reference for OverlapAdd pushed in chunks."""
+    frames = data.shape[1]
+    win = config.window()
+    segments = np.fft.irfft(data, n=config.fft_size, axis=2)[:, :, : config.window_size]
+    num_samples = (frames - 1) * config.hop + config.window_size
+    out = np.zeros((data.shape[0], num_samples))
+    norm = np.zeros(num_samples)
+    for t in range(frames):
+        start = t * config.hop
+        out[:, start : start + config.window_size] += segments[:, t] * win
+        norm[start : start + config.window_size] += win**2
+    return out / np.maximum(norm, 1e-2 * np.max(norm))
+
+
+stft_configs = st.builds(
+    lambda size, overlap, zero_pad: StftConfig(
+        fft_size=zero_pad * size, window_size=size, hop=size // overlap
+    ),
+    size=st.sampled_from([16, 32, 64, 512]),
+    overlap=st.sampled_from([2, 4, 8]),
+    zero_pad=st.sampled_from([1, 2]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    config=stft_configs,
+    channels=st.integers(1, 3),
+    windows=st.floats(1.0, 12.0),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_frames_of_random_ranges_equal_whole_signal_stft(
+    config, channels, windows, seed, data
+):
+    x = np.random.default_rng(seed).standard_normal((channels, int(windows * config.window_size)))
+    reference = whole_signal_stft(x, config)
+    wave = MultichannelWave(x, 16000)
+    np.testing.assert_array_equal(analyze(wave, config).data, reference)
+    frames = StftFrames(wave, config)
+    total = frames.frame_count
+    start = 0
+    for _ in range(data.draw(st.integers(1, 6))):
+        start = data.draw(st.integers(start, total))
+        end = data.draw(st.integers(start, total))
+        np.testing.assert_array_equal(frames.frames(start, end), reference[:, start:end])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    config=stft_configs,
+    channels=st.integers(1, 3),
+    frame_count=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_overlap_add_in_random_chunks_equals_whole_signal(
+    config, channels, frame_count, seed, data
+):
+    rng = np.random.default_rng(seed)
+    shape = (channels, frame_count, config.bins)
+    spectra = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    reference = whole_signal_overlap_add(spectra, config)
+    spec = Spectrogram(spectra, config, 16000)
+    np.testing.assert_array_equal(synthesize(spec).samples, reference)
+    cuts = sorted(data.draw(st.lists(st.integers(0, frame_count), max_size=8)))
+    overlap_add = OverlapAdd(config, channels, frame_count)
+    pieces = [
+        overlap_add.push(spectra[:, lo:hi])
+        for lo, hi in zip([0, *cuts], [*cuts, frame_count])
+    ]
+    np.testing.assert_array_equal(np.concatenate(pieces, axis=1), reference)
+
+
+def test_frames_out_of_order_raise(rng):
+    frames = StftFrames(MultichannelWave(rng.standard_normal(4096), 16000))
+    frames.frames(5, 10)
+    with pytest.raises(ValueError):
+        frames.frames(4, 10)
+    with pytest.raises(ValueError):
+        frames.frames(5, frames.frame_count + 1)
+
+
+def test_overlap_add_rejects_frames_past_the_count():
+    config = StftConfig()
+    overlap_add = OverlapAdd(config, 1, 3)
+    overlap_add.push(np.zeros((1, 2, config.bins)))
+    with pytest.raises(ShapeError):
+        overlap_add.push(np.zeros((1, 2, config.bins)))
