@@ -39,11 +39,6 @@ from .simulator import make_mixture, speech_like_source
 from .stft import OverlapAdd, StftFrames, analyze
 from .stitcher import plan_windows, separate_windows
 
-# bench/spans.py times these by their names in this module, which separate
-# no longer calls; kept so that its hooks still resolve
-from .stft import synthesize  # noqa: F401
-from .stitcher import run_pipeline  # noqa: F401
-
 log = logging.getLogger("unmix")
 
 EXIT_OK = 0
@@ -75,7 +70,8 @@ def cmd_simulate(args):
             )
     mixture, truth = make_mixture(mix_spec, room, sources)
 
-    outdir = _output_dir(args.output)
+    outdir = Path(args.output)
+    outdir.mkdir(parents=True, exist_ok=True)
     write_wave(mixture, outdir / "mixture.wav", dtype="float32")
     for k in range(len(sources)):
         write_wave(
@@ -107,37 +103,37 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _output_dir(path):
-    """Create the output directory; a path that cannot be one is a data error."""
-    outdir = Path(path)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot write to {outdir}: {exc.strerror or exc}") from exc
-    return outdir
-
-
-def _read_truth_wave(path, num_samples, sample_rate):
-    """Channels (J, num_samples) of a truth WAV that must cover the signal it
-    is compared with, at that signal's rate."""
-    wave = read_wave(path)
-    if wave.sample_rate != sample_rate:
+def _open_truth_wave(path, num_samples, sample_rate, mono=True):
+    """A truth WAV opened for reads, checked to cover the num_samples
+    samples at sample_rate of the signal it goes with; a track of the truth
+    (a source or the noise reference) is mono."""
+    reader = WaveReader(path)
+    if reader.sample_rate != sample_rate:
         raise FormatError(
-            f"{path} is at {wave.sample_rate} Hz, the signal it scores at {sample_rate} Hz"
+            f"{path} is at {reader.sample_rate} Hz, the signal it goes with at {sample_rate} Hz"
         )
-    if wave.samples.shape[1] < num_samples:
+    if reader.num_samples < num_samples:
         raise InsufficientInputError(
-            f"{path} has {wave.samples.shape[1]} samples, the signal it scores {num_samples}"
+            f"{path} has {reader.num_samples} samples, the signal it goes with {num_samples}"
         )
-    return wave.samples[:, :num_samples]
+    if mono and reader.channel_count != 1:
+        raise FormatError(f"{path} has {reader.channel_count} channels; a truth track is mono")
+    return reader
 
 
-def _read_truth_track(path, num_samples, sample_rate):
-    """A source or noise reference of the truth, which is mono."""
-    samples = _read_truth_wave(path, num_samples, sample_rate)
-    if len(samples) != 1:
-        raise FormatError(f"{path} has {len(samples)} channels; a truth track is mono")
-    return samples[0]
+class _TrackSum:
+    """The sum, in order, of mono tracks over their first num_samples
+    samples, read block by block like a WaveReader; zeros without a track."""
+
+    def __init__(self, tracks, num_samples, sample_rate):
+        self._tracks = tracks
+        self.num_samples, self.sample_rate, self.channel_count = num_samples, sample_rate, 1
+
+    def read(self, lo, hi):
+        total = np.zeros((1, hi - lo))
+        for track in self._tracks:
+            total += track.read(lo, hi)
+        return total
 
 
 def _read_truth_meta(path):
@@ -180,24 +176,21 @@ def _read_truth_meta(path):
 
 
 def _load_truth(truth_dir, num_samples, sample_rate):
+    """truth.json, the two output streams and the noise reference of a
+    simulate output directory; the tracks are checked and opened, not read."""
     truth_dir = Path(truth_dir)
     meta_path = truth_dir / "truth.json"
     if not meta_path.exists():
         raise ConfigurationError(f"missing truth metadata {meta_path}")
     meta = _read_truth_meta(meta_path)
-    sources = [
-        _read_truth_track(truth_dir / f"source{k}.wav", num_samples, sample_rate)
-        for k in range(meta["utterances"])
-    ]
-    noise_path = truth_dir / "noise_ref.wav"
-    if noise_path.exists():
-        noise = _read_truth_track(noise_path, num_samples, sample_rate)
-    else:
-        noise = np.zeros(num_samples)
-    channel_sources = [np.zeros(num_samples), np.zeros(num_samples)]
+    tracks = [[], []]  # the sources of each output stream, in assignment order
     for k, ch in enumerate(meta["assignment"]):
-        channel_sources[ch] += sources[k]
-    return meta, sources, channel_sources, noise
+        path = truth_dir / f"source{k}.wav"
+        tracks[ch].append(_open_truth_wave(path, num_samples, sample_rate))
+    noise_path = truth_dir / "noise_ref.wav"
+    noise = [_open_truth_wave(noise_path, num_samples, sample_rate)] if noise_path.exists() else []
+    streams = [_TrackSum(t, num_samples, sample_rate) for t in tracks]
+    return meta, streams, _TrackSum(noise, num_samples, sample_rate)
 
 
 def _make_provider(config, spec, wave, plan):
@@ -206,17 +199,16 @@ def _make_provider(config, spec, wave, plan):
             raise ConfigurationError(
                 "oracle mask provider requires truth_dir pointing at simulate output"
             )
-        rate = wave.sample_rate
-        _, _, channel_sources, noise = _load_truth(config.truth_dir, wave.num_samples, rate)
-        source_specs = [
-            analyze(MultichannelWave(s, rate), config.stft) for s in channel_sources
-        ]
-        noise_spec = analyze(MultichannelWave(noise, rate), config.stft)
-        return OracleMaskProvider(spec, source_specs, noise_spec)
+        _, streams, noise = _load_truth(config.truth_dir, wave.num_samples, wave.sample_rate)
+        return OracleMaskProvider(
+            spec,
+            [StftFrames(stream, config.stft) for stream in streams],
+            StftFrames(noise, config.stft),
+        )
     path = config.mask_provider[len("file:") :]
     provider = FileMaskProvider(path)
     for what, found, expected in (
-        ("windows", provider.window_count, len(plan_windows(spec.frame_count, plan))),
+        ("windows", len(provider), len(plan_windows(spec.frame_count, plan))),
         ("hop_frames", provider.hop_frames, plan.hop_frames),
         ("frames per window", provider.window_frames, plan.window_frames),
         ("bins", provider.bins, config.stft.bins),
@@ -239,13 +231,6 @@ def _parse_overrides(pairs):
     return overrides
 
 
-def _open_output(path, sample_rate, num_samples):
-    try:
-        return WaveWriter(path, sample_rate, 1, num_samples, dtype="float32")
-    except OSError as exc:
-        raise ConfigurationError(f"cannot write to {path}: {exc.strerror or exc}") from exc
-
-
 def cmd_separate(args):
     overrides = _parse_overrides(args.set)
     if args.truth_dir:
@@ -262,17 +247,20 @@ def cmd_separate(args):
     frames = StftFrames(reader, config.stft)
 
     # The streams are written as the windows are separated, under temporary
-    # names that replace out0.wav/out1.wav only once both are complete.
-    outdir = _output_dir(args.output)
+    # names that replace out0.wav/out1.wav only once both are complete; a
+    # failed run leaves no temporary file behind.
+    outdir = Path(args.output)
+    outdir.mkdir(parents=True, exist_ok=True)
     partial = [outdir / f".out{i}.wav.partial" for i in (0, 1)]
     with ExitStack() as stack:
         writers = [
-            stack.enter_context(_open_output(path, reader.sample_rate, reader.num_samples))
+            stack.enter_context(
+                WaveWriter(path, reader.sample_rate, 1, reader.num_samples, dtype="float32")
+            )
             for path in partial
         ]
-        spec = wpe_stream(analyze(reader, config.stft), config.wpe) if config.dereverb else frames
-        # after WPE, whose peak memory the oracle provider's set-up would raise
         provider = _make_provider(config, frames, reader, config.plan)
+        spec = wpe_stream(analyze(reader, config.stft), config.wpe) if config.dereverb else frames
         overlap_add = OverlapAdd(config.stft, 2, spec.frame_count)
         for _, _, window_out in separate_windows(
             spec,
@@ -286,8 +274,12 @@ def cmd_separate(args):
                 writer.write(samples[np.newaxis])
         for writer in writers:  # the samples past the last full frame
             writer.write(np.zeros((1, writer.remaining)))
-    for i, path in enumerate(partial):
-        os.replace(path, outdir / f"out{i}.wav")
+    try:
+        for i, path in enumerate(partial):
+            os.replace(path, outdir / f"out{i}.wav")
+    finally:
+        for path in partial:
+            path.unlink(missing_ok=True)
     elapsed = time.monotonic() - started
 
     config_text = pipeline_config_text(config)
@@ -316,15 +308,15 @@ def _evaluate_scene(est_dir, truth_dir, config):
         )
     estimates = [wave.samples[0] for wave in waves]
     _, num_samples, rate = shapes[0]
-    meta, _, channel_sources, _ = _load_truth(truth_dir, num_samples, rate)
+    meta, streams, _ = _load_truth(truth_dir, num_samples, rate)
     segments = meta.get("activity_samples")
     if segments is None:
         raise FormatError(f"{truth_dir / 'truth.json'} lacks 'activity_samples'")
-    mixture = _read_truth_wave(truth_dir / "mixture.wav", num_samples, rate)
+    mixture = _open_truth_wave(truth_dir / "mixture.wav", num_samples, rate, mono=False)
     report = best_permutation_eval(
         estimates,
-        channel_sources,
-        mixture_ref=mixture[config.reference_index],
+        [stream.read(0, num_samples)[0] for stream in streams],
+        mixture_ref=mixture.read(0, num_samples)[config.reference_index],
     )
     activity = activity_frames_from_segments(
         segments, num_samples, config.stft.hop, config.stft.window_size
@@ -435,6 +427,10 @@ def main(argv=None):
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:  # a named file, most often an output, that cannot be used
+        name = exc.filename2 or exc.filename
+        print(f"error: {name}: {exc.strerror}" if name else f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except UnmixError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,10 +9,6 @@ from .beamformer import sig_cov
 from .errors import NoSignalError, ShapeError
 from .signal_io import SPEED_OF_SOUND, MaskFile
 
-# bench/spans.py times read_mask_file by its name in this module, which
-# FileMaskProvider no longer calls; kept so that its hook still resolves
-from .signal_io import read_mask_file  # noqa: F401
-
 EPS = 1e-10
 
 
@@ -43,23 +39,10 @@ class MaskSet:
 
 
 def oracle_masks(mixture, sources, noise):
-    """Ideal ratio masks from ground-truth reference-microphone signals.
-
-    mixture, sources (pair) and noise are Spectrograms aligned on the same
-    frame grid; sources and noise are the per-output-channel images at the
-    reference microphone. Returns one full-length MaskSet.
-    """
-    if len(sources) != 2:
-        raise ShapeError("expected exactly two source spectrograms")
-    mags = [np.abs(s.data[0]) for s in sources]
-    noise_mag = np.abs(noise.data[0])
-    for m in mags + [noise_mag]:
-        if m.shape != (mixture.frame_count, mixture.bins):
-            raise ShapeError("source/noise shape does not match the mixture")
-    total = mags[0] + mags[1] + noise_mag + EPS
-    return MaskSet(
-        speech=np.stack([mags[0] / total, mags[1] / total]),
-        noise=noise_mag / total,
+    """Ideal ratio masks of all frames: OracleMaskProvider over the whole
+    range. Returns one full-length MaskSet."""
+    return OracleMaskProvider(mixture, sources, noise).mask_for_window(
+        0, 0, mixture.frame_count
     )
 
 
@@ -169,34 +152,39 @@ def merge_heads_if_same_doa(mask_set, spec, geometry, threshold_deg=15.0):
 
 
 class OracleMaskProvider:
-    """Serves ideal-ratio-mask windows from ground-truth spectrograms."""
+    """Serves ideal ratio masks from ground-truth reference-microphone frames.
+
+    mixture, sources (pair) and noise are Spectrograms or StftFrames on the
+    same frame grid; sources and noise are the per-output-stream images at
+    the reference microphone. Each window's masks are computed from that
+    window's frames alone, so windows are asked for in order.
+    """
 
     def __init__(self, mixture, sources, noise):
-        self._full = oracle_masks(mixture, sources, noise)
+        if len(sources) != 2:
+            raise ShapeError("expected exactly two source spectrograms")
+        for s in [*sources, noise]:
+            if (s.frame_count, s.bins) != (mixture.frame_count, mixture.bins):
+                raise ShapeError("source/noise shape does not match the mixture")
+        self._sources, self._noise = sources, noise
 
     def mask_for_window(self, window_index, start, end):
+        mags = [np.abs(s.frames(start, end)[0]) for s in self._sources]
+        noise_mag = np.abs(self._noise.frames(start, end)[0])
+        total = mags[0] + mags[1] + noise_mag + EPS
         return MaskSet(
-            speech=self._full.speech[:, start:end].copy(),
-            noise=self._full.noise[start:end].copy(),
+            speech=np.stack([mags[0] / total, mags[1] / total]),
+            noise=noise_mag / total,
         )
 
 
-class FileMaskProvider:
-    """Serves precomputed mask windows from a mask container file, reading
-    one window per call.
-
-    window_count, window_frames, bins and hop_frames describe the container;
-    the caller checks them against the pipeline before asking for windows.
-    """
-
-    def __init__(self, path):
-        self._windows = MaskFile(path)
-        self.window_count = len(self._windows)
-        self.hop_frames = self._windows.hop_frames
-        self.window_frames, self.bins = self._windows.window_frames, self._windows.bins
+class FileMaskProvider(MaskFile):
+    """A mask container that serves its window c, read from the file, as
+    the masks of the pipeline's window c. The caller checks the container's
+    geometry against the pipeline before asking for windows."""
 
     def mask_for_window(self, window_index, start, end):
-        return self._windows[window_index]
+        return self[window_index]
 
 
 class ChannelSwappingProvider:

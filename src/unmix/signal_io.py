@@ -103,6 +103,11 @@ class WaveReader:
             # would count toward the process's resident memory
             rate, data = scipy.io.wavfile.read(path, mmap=True)
         except (OSError, ValueError, struct.error, EOFError) as exc:
+            bits = _packed_pcm_bits(path) if isinstance(exc, ValueError) else None
+            if bits:
+                raise UnsupportedFormatError(
+                    f"unsupported WAV sample format {bits}-bit PCM in {path}"
+                ) from exc
             raise FormatError(f"cannot read WAV file {path}: {exc}") from exc
         if (data.dtype.kind, data.dtype.itemsize) not in {("i", 2), ("f", 4), ("f", 8)}:
             raise UnsupportedFormatError(
@@ -137,6 +142,26 @@ class WaveReader:
         if self._dtype.kind == "i":
             return (data.astype(np.float64) / 32768.0).T
         return data.astype(np.float64).T
+
+
+def _packed_pcm_bits(path):
+    """Bits per sample of a WAV file whose PCM samples are packed in 3, 5, 6
+    or 7 bytes, which no numpy dtype holds (so scipy cannot map them); None
+    for any other file. Reads the header chunks, not the samples."""
+    with open(path, "rb") as fh:
+        if fh.read(12)[:4] != b"RIFF":
+            return None
+        while len(head := fh.read(8)) == 8:
+            chunk, size = struct.unpack("<4sI", head)
+            if chunk == b"fmt ":
+                fmt = fh.read(size).ljust(26, b"\0")
+                tag, channels, _, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt)
+                if tag == 0xFFFE:  # WAVE_FORMAT_EXTENSIBLE: the tag of its subformat
+                    tag = struct.unpack_from("<H", fmt, 24)[0]
+                packed = tag == 1 and channels and block_align // channels in (3, 5, 6, 7)
+                return bits if packed else None
+            fh.seek(size + size % 2, os.SEEK_CUR)
+    return None
 
 
 def read_wave(path):

@@ -3,19 +3,23 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.io.wavfile
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import unmix.cli
 from unmix.cli import EXIT_DATA, EXIT_INVARIANT, EXIT_OK, main
 from unmix.config import load_pipeline_config
 from unmix.errors import ConfigurationError, ShapeError
-from unmix.masks import MaskSet
+from unmix.masks import MaskSet, OracleMaskProvider, oracle_masks
 from unmix.metrics import best_permutation_eval
 from unmix.signal_io import MultichannelWave, read_wave, write_mask_file, write_wave
+from unmix.stft import StftConfig, StftFrames, analyze
 
 SCENE = """
 room_dim = 6.0 5.0 3.0
@@ -103,10 +107,10 @@ print(code, int(hwm.split()[1]) / 1024.0)
 """
 
 
-def _masking_peak_mb(tmp_path, seconds, rng):
+def _masking_peak_mb(tmp_path, seconds, rng, provider):
     """Peak RSS (MB) of `separate` in masking mode, in a fresh process, on
-    `seconds` of 7-channel noise with a random mask container."""
-    from unmix.stft import StftConfig
+    `seconds` of 7-channel noise, with a random mask container ("file") or
+    a truth directory of mono noise tracks ("oracle")."""
     from unmix.stitcher import WindowPlan, plan_windows
 
     rate = 16000
@@ -114,14 +118,24 @@ def _masking_peak_mb(tmp_path, seconds, rng):
     samples = 0.1 * rng.standard_normal((seconds * rate, 7), dtype=np.float32)
     scipy.io.wavfile.write(mixture, rate, samples)
     del samples
-    plan, stft = WindowPlan(), StftConfig()
-    windows = len(plan_windows(stft.frame_count(seconds * rate), plan))
-    shapes = ((2, plan.window_frames, stft.bins), (plan.window_frames, stft.bins))
-    sets = [MaskSet(*(rng.uniform(0, 1, shape) for shape in shapes)) for _ in range(3)]
-    masks = tmp_path / f"masks{seconds}.umxm"
-    write_mask_file(masks, [sets[c % 3] for c in range(windows)], plan.hop_frames)
-    argv = ["separate", str(mixture), str(tmp_path / f"sep{seconds}")]
-    argv += ["--set", "mode=masking", "--set", f"mask_provider=file:{masks}"]
+    argv = ["separate", str(mixture), str(tmp_path / f"sep_{provider}{seconds}")]
+    argv += ["--set", "mode=masking"]
+    if provider == "file":
+        plan, stft = WindowPlan(), StftConfig()
+        windows = len(plan_windows(stft.frame_count(seconds * rate), plan))
+        shapes = ((2, plan.window_frames, stft.bins), (plan.window_frames, stft.bins))
+        sets = [MaskSet(*(rng.uniform(0, 1, shape) for shape in shapes)) for _ in range(3)]
+        masks = tmp_path / f"masks{seconds}.umxm"
+        write_mask_file(masks, [sets[c % 3] for c in range(windows)], plan.hop_frames)
+        argv += ["--set", f"mask_provider=file:{masks}"]
+    else:
+        truth = tmp_path / f"truth{seconds}"
+        truth.mkdir()
+        (truth / "truth.json").write_text(json.dumps({"utterances": 2, "assignment": [0, 1]}))
+        for name in ("source0", "source1", "noise_ref"):
+            track = 0.1 * rng.standard_normal(seconds * rate, dtype=np.float32)
+            scipy.io.wavfile.write(truth / f"{name}.wav", rate, track)
+        argv += ["--truth-dir", str(truth)]
     src = str(Path(unmix.cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = subprocess.run(
@@ -376,6 +390,18 @@ class TestSeparate:
         argv += ["--truth-dir", str(shared_scene), "--set", "dereverb=true"]
         _assert_data_error(capsys, argv)
 
+    def test_bad_truth_exits_before_wpe(self, tmp_path, capsys, shared_scene, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("WPE ran before the mask provider was built")
+
+        monkeypatch.setattr(unmix.cli, "wpe_stream", unreachable)
+        truth = tmp_path / "truth"
+        shutil.copytree(shared_scene, truth)
+        (truth / "source0.wav").unlink()
+        argv = ["separate", str(shared_scene / "mixture.wav"), str(tmp_path / "sep")]
+        argv += ["--truth-dir", str(truth), "--set", "dereverb=true"]
+        assert "source0.wav" in _assert_data_error(capsys, argv)
+
     def test_failed_run_leaves_no_partial_output(self, tmp_path, shared_scene, monkeypatch):
         outdir = tmp_path / "sep"
         outdir.mkdir()
@@ -395,9 +421,10 @@ class TestSeparate:
         assert (outdir / "out0.wav").read_bytes() == b"an earlier run"
 
     def test_peak_memory_does_not_grow_with_the_recording(self, tmp_path, rng):
-        short = _masking_peak_mb(tmp_path, 20, rng)
-        long = _masking_peak_mb(tmp_path, 80, rng)
-        assert abs(long - short) < 15.0, (short, long)
+        for provider in ("file", "oracle"):
+            short = _masking_peak_mb(tmp_path, 20, rng, provider)
+            long = _masking_peak_mb(tmp_path, 80, rng, provider)
+            assert abs(long - short) < 15.0, (provider, short, long)
 
     @pytest.mark.parametrize("edit", BAD_TRUTH.values(), ids=BAD_TRUTH.keys())
     def test_bad_truth_metadata_is_data_error(self, tmp_path, capsys, shared_scene, edit):
@@ -455,6 +482,83 @@ class TestSeparate:
             b = read_wave(sep_file / f"out{i}.wav").samples
             # float32 container quantizes the masks; outputs stay close
             assert np.max(np.abs(a - b)) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("separate", "out0.wav"), ("separate", "manifest.json"), ("simulate", "mixture.wav")],
+)
+def test_output_name_taken_by_a_directory_is_data_error(
+    tmp_path, capsys, shared_scene, command, name
+):
+    outdir = tmp_path / "out"
+    (outdir / name).mkdir(parents=True)
+    if command == "separate":
+        argv = ["separate", str(shared_scene / "mixture.wav"), str(outdir)]
+        argv += ["--truth-dir", str(shared_scene)]
+    else:
+        spec = tmp_path / "scene.cfg"
+        spec.write_text(SCENE)
+        argv = ["simulate", str(spec), str(outdir)]
+    assert name in _assert_data_error(capsys, argv)
+    assert not [p.name for p in outdir.iterdir() if p.name.endswith(".partial")]
+
+
+FRAMES = 20  # STFT frames of the property test's recordings
+
+
+class TestOracleTruth:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        assignment=st.lists(st.integers(0, 1), max_size=3),
+        with_noise=st.booleans(),
+        extra=st.integers(0, 300),
+        windows=st.lists(
+            st.tuples(st.integers(0, FRAMES), st.integers(0, FRAMES)), min_size=1, max_size=6
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(assignment=[0, 0], with_noise=True, extra=0, windows=[(0, FRAMES)], seed=0)
+    @example(assignment=[1, 0, 1], with_noise=False, extra=7, windows=[(3, 9)], seed=1)
+    def test_windowed_masks_equal_whole_oracle_masks(
+        self, assignment, with_noise, extra, windows, seed
+    ):
+        """Masks from StftFrames over the summed truth tracks, window by
+        window, equal oracle_masks over whole Spectrograms of the sums."""
+        rng = np.random.default_rng(seed)
+        config, rate = StftConfig(), 16000
+        n = (FRAMES - 1) * config.hop + config.window_size
+        tracks = rng.uniform(-0.5, 0.5, (len(assignment) + 1, n + extra)).astype(np.float32)
+        mixture = MultichannelWave(rng.uniform(-0.5, 0.5, n), rate)
+        with tempfile.TemporaryDirectory() as tmp:
+            truth = Path(tmp)
+            meta = {"utterances": len(assignment), "assignment": assignment}
+            (truth / "truth.json").write_text(json.dumps(meta))
+            for k in range(len(assignment)):
+                scipy.io.wavfile.write(truth / f"source{k}.wav", rate, tracks[k])
+            if with_noise:
+                scipy.io.wavfile.write(truth / "noise_ref.wav", rate, tracks[-1])
+            _, streams, noise = unmix.cli._load_truth(truth, n, rate)
+            provider = OracleMaskProvider(
+                StftFrames(mixture, config),
+                [StftFrames(stream, config) for stream in streams],
+                StftFrames(noise, config),
+            )
+            # in-order ranges, as the window loop asks for them
+            ranges = sorted((min(a, b), max(a, b)) for a, b in windows)
+            windowed = [provider.mask_for_window(c, a, b) for c, (a, b) in enumerate(ranges)]
+
+        sums = np.zeros((2, n))
+        for k, ch in enumerate(assignment):
+            sums[ch] += tracks[k, :n]
+        noise_ref = tracks[-1, :n].astype(np.float64) if with_noise else np.zeros(n)
+        spec_of = lambda x: analyze(MultichannelWave(x, rate), config)
+        whole = oracle_masks(
+            spec_of(mixture.samples), [spec_of(x) for x in sums], spec_of(noise_ref)
+        )
+        for (a, b), mset in zip(ranges, windowed):
+            np.testing.assert_array_equal(mset.speech, whole.speech[:, a:b])
+            np.testing.assert_array_equal(mset.noise, whole.noise[a:b])
 
 
 class TestEvaluate:
@@ -600,7 +704,7 @@ class TestEvaluate:
 
         estimates = [read_wave(est / f"out{i}.wav").samples[0] for i in (0, 1)]
         n = len(estimates[0])
-        references = _load_truth(scene, n, 16000)[2]
+        references = [stream.read(0, n)[0] for stream in _load_truth(scene, n, 16000)[1]]
         expected = {
             ref: best_permutation_eval(
                 estimates, references, mixture_ref=mixture[ref, :n]

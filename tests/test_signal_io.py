@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from unmix.errors import FormatError, RangeError
+from unmix.errors import FormatError, RangeError, UnsupportedFormatError
 from unmix.masks import MaskSet
 from unmix.signal_io import (
     MultichannelWave,
@@ -60,6 +60,24 @@ def test_missing_file_is_format_error(tmp_path):
     for read in (read_wave, read_mask_file):
         with pytest.raises(FormatError, match="absent"):
             read(tmp_path / "absent")
+
+
+# a WAVE_FORMAT_EXTENSIBLE fmt tail: cbSize, valid bits, channel mask, PCM subformat GUID
+_EXTENSIBLE_PCM = struct.pack("<HHI", 22, 24, 4) + bytes.fromhex("0100000000001000800000aa00389b71")
+
+
+@pytest.mark.parametrize(
+    "tag, tail", [(1, b""), (0xFFFE, _EXTENSIBLE_PCM)], ids=["PCM", "extensible"]
+)
+def test_24_bit_pcm_is_named_unsupported(tmp_path, tag, tail):
+    fmt = struct.pack("<HHIIHH", tag, 1, 16000, 48000, 3, 24) + tail
+    data = bytes(3 * 100)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(data)) + data
+    path = tmp_path / "t24.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    with pytest.raises(UnsupportedFormatError, match="24-bit PCM"):
+        WaveReader(path)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
