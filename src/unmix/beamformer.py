@@ -1,6 +1,8 @@
 """Per-window MVDR beamforming with speech-speech-noise interference
 factorization and output gain adjustment."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import ContractViolationError, ShapeError
@@ -16,29 +18,74 @@ def sig_cov(window_data, masks):
     window_data: (J, frames, bins) complex; masks: (..., frames, bins) in
     [0, 1], e.g. a stack of H heads. Returns (..., bins, J, J). Per head and
     frequency: Phi_f = sum_t (m x)(m x)^H / max(sum_t m^2, eps), i.e. the mask
-    is applied to the signal before the outer product. An empty mask yields
-    zero matrices.
+    is applied to the signal before the outer product. It is computed as one
+    batched matmul (m^2 x) @ x^H, whose conjugated side is shared by the
+    whole stack. An empty mask yields zero matrices.
     """
     masks = np.asarray(masks, dtype=np.float64)
     if masks.shape[-2:] != window_data.shape[1:]:
         raise ShapeError("masks must align with window frames x bins")
-    m = np.swapaxes(masks, -1, -2)[..., np.newaxis, :]  # (..., F, 1, T)
-    mx = m * np.transpose(window_data, (2, 0, 1))  # (..., F, J, T)
-    num = mx @ np.conj(np.swapaxes(mx, -1, -2))  # (..., F, J, J)
-    denom = np.maximum(np.sum(masks**2, axis=-2), EPS)  # (..., F)
+    x = np.ascontiguousarray(np.transpose(window_data, (2, 0, 1)))  # (F, J, T)
+    power = masks**2
+    weight = np.swapaxes(power, -1, -2)[..., np.newaxis, :]  # (..., F, 1, T)
+    num = (weight * x) @ np.swapaxes(np.conj(x), -1, -2)  # (..., F, J, J)
+    denom = np.maximum(np.sum(power, axis=-2), EPS)  # (..., F)
     return num / denom[..., np.newaxis, np.newaxis]
 
 
-def principal_component(cov):
+@dataclass
+class WindowCovariances:
+    """Masked spatial statistics of one window, in speech-head order.
+
+    phi: (2, bins, J, J) speech covariances; psi: (2, bins, J, J) the
+    interference covariance of each head; values (2, bins, J) and vectors
+    (2, bins, J, J): np.linalg.eigh(phi), eigenvalues ascending.
+    """
+
+    phi: np.ndarray
+    psi: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+
+    def permuted(self, permutation):
+        """Return the statistics with the speech heads reordered."""
+        p = list(permutation)
+        return WindowCovariances(self.phi[p], self.psi[p], self.values[p], self.vectors[p])
+
+
+def window_covariances(window_data, mask_set, interference_mode="ssn"):
+    """The covariance stack of one window and the eigendecomposition of its
+    speech heads, computed once and shared by the DOA merge and the MVDR.
+
+    interference_mode "ssn" builds [speech 0, speech 1, noise] and uses
+    Psi_i = Phi_other + Phi_noise; mode "complement" builds [speech, 1 -
+    speech] and uses the covariance under the 1 - m_i mask (ablation
+    baseline).
+    """
+    speech = mask_set.speech
+    if interference_mode == "ssn":
+        cov = sig_cov(window_data, np.concatenate([speech, mask_set.noise[np.newaxis]]))
+        psi = cov[[1, 0]] + cov[2]
+    elif interference_mode == "complement":
+        cov = sig_cov(window_data, np.concatenate([speech, 1.0 - speech]))
+        psi = cov[2:]
+    else:
+        raise ValueError(f"unknown interference_mode {interference_mode!r}")
+    phi = cov[:2]
+    values, vectors = np.linalg.eigh(phi)
+    return WindowCovariances(phi, psi, values, vectors)
+
+
+def principal_component(cov, eigenpairs=None):
     """Rank-1 reduction of covariances (bins, J, J): lambda_max v v^H per
-    frequency.
+    frequency. eigenpairs: np.linalg.eigh(cov), when the caller has it.
 
     Used to denoise the target covariance before the MVDR solve: the masked
     estimate of a (near) point source is rank-1 plus estimation noise, and
     keeping only the principal eigenpair removes most of that noise.
     """
     _require_hermitian(cov, "target")
-    vals, vecs = np.linalg.eigh(cov)
+    vals, vecs = np.linalg.eigh(cov) if eigenpairs is None else eigenpairs
     scaled = vecs[:, :, -1] * np.sqrt(np.maximum(vals[:, -1:], 0.0))
     return scaled[:, :, np.newaxis] * np.conj(scaled[:, np.newaxis, :])
 
@@ -80,8 +127,10 @@ def mvdr_weights(target, interference, reference_index, loading=DIAGONAL_LOADING
 
 
 def apply_weights(weights, window_data):
-    """y[t, f] = w_f^H x[:, t, f] for weights (bins, J)."""
-    return np.einsum("fj,jtf->tf", np.conj(weights), window_data)
+    """y[t, f] = w_f^H x[:, t, f] for weights (bins, J): one batched matmul
+    over frequency, (1, J) @ (J, frames) per bin."""
+    y = np.conj(weights)[:, np.newaxis, :] @ np.transpose(window_data, (2, 0, 1))
+    return y[:, 0, :].T
 
 
 def gain_adjust(beamformed, mask, ref_mag):
@@ -99,27 +148,25 @@ def gain_adjust(beamformed, mask, ref_mag):
     return beamformed * np.minimum(1.0, cap)
 
 
-def beamform_window(window_data, mask_set, reference_index, interference_mode="ssn"):
+def beamform_window(
+    window_data, mask_set, reference_index, interference_mode="ssn", covariances=None
+):
     """Beamform one window into two output channels.
 
     window_data: (J, frames, bins) complex slice of the mixture.
-    interference_mode "ssn" uses Psi_i = Phi_other + Phi_noise; mode
-    "complement" uses the covariance under the 1 - m_i mask (ablation
-    baseline). Returns (2, frames, bins) complex.
+    interference_mode: see window_covariances. covariances: the
+    window_covariances of mask_set, when the caller has them already.
+    Returns (2, frames, bins) complex.
     """
-    speech = mask_set.speech
-    if interference_mode == "ssn":
-        phi = sig_cov(window_data, np.concatenate([speech, mask_set.noise[np.newaxis]]))
-        psis = phi[[1, 0]] + phi[2]
-    elif interference_mode == "complement":
-        phi = sig_cov(window_data, np.concatenate([speech, 1.0 - speech]))
-        psis = phi[2:]
-    else:
-        raise ValueError(f"unknown interference_mode {interference_mode!r}")
+    if covariances is None:
+        covariances = window_covariances(window_data, mask_set, interference_mode)
+    phi, psi = covariances.phi, covariances.psi
+    values, vectors = covariances.values, covariances.vectors
     ref_mag = np.abs(window_data[reference_index])
     out = np.empty((2,) + window_data.shape[1:], dtype=np.complex128)
     for i in range(2):
-        w = mvdr_weights(principal_component(phi[i]), psis[i], reference_index)
+        target = principal_component(phi[i], (values[i], vectors[i]))
+        w = mvdr_weights(target, psi[i], reference_index)
         y = apply_weights(w, window_data)
-        out[i] = gain_adjust(y, speech[i], ref_mag)
+        out[i] = gain_adjust(y, mask_set.speech[i], ref_mag)
     return out

@@ -103,10 +103,11 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _open_truth_wave(path, num_samples, sample_rate, mono=True):
+def _open_truth_wave(path, num_samples, sample_rate, reference_index=None):
     """A truth WAV opened for reads, checked to cover the num_samples
-    samples at sample_rate of the signal it goes with; a track of the truth
-    (a source or the noise reference) is mono."""
+    samples at sample_rate of the signal it goes with. A track of the truth
+    (a source or the noise reference) is mono; the mixture, opened with the
+    reference_index of the pipeline, holds that channel."""
     reader = WaveReader(path)
     if reader.sample_rate != sample_rate:
         raise FormatError(
@@ -116,8 +117,12 @@ def _open_truth_wave(path, num_samples, sample_rate, mono=True):
         raise InsufficientInputError(
             f"{path} has {reader.num_samples} samples, the signal it goes with {num_samples}"
         )
-    if mono and reader.channel_count != 1:
+    if reference_index is None and reader.channel_count != 1:
         raise FormatError(f"{path} has {reader.channel_count} channels; a truth track is mono")
+    if reference_index is not None and reader.channel_count <= reference_index:
+        raise FormatError(
+            f"{path} has {reader.channel_count} channels, no reference channel {reference_index}"
+        )
     return reader
 
 
@@ -312,7 +317,9 @@ def _evaluate_scene(est_dir, truth_dir, config):
     segments = meta.get("activity_samples")
     if segments is None:
         raise FormatError(f"{truth_dir / 'truth.json'} lacks 'activity_samples'")
-    mixture = _open_truth_wave(truth_dir / "mixture.wav", num_samples, rate, mono=False)
+    mixture = _open_truth_wave(
+        truth_dir / "mixture.wav", num_samples, rate, config.reference_index
+    )
     report = best_permutation_eval(
         estimates,
         [stream.read(0, num_samples)[0] for stream in streams],

@@ -48,9 +48,12 @@ def _wpe_filters(data, stacked, estimate, config):
     eps = config.epsilon
     lam = np.maximum(np.mean(np.abs(estimate) ** 2, axis=1), eps)  # (F, T)
     residual_pre = float(np.sum(np.abs(estimate) ** 2 / lam[:, np.newaxis]))
-    weighted = stacked / lam[:, np.newaxis]
-    r = weighted @ np.conj(stacked).transpose(0, 2, 1)  # (F, JK, JK)
-    p = weighted @ np.conj(data).transpose(0, 2, 1)  # (F, JK, J)
+    # conj(stacked) / lambda is the only (F, JK, T) temporary: R and P are the
+    # conjugates of its products with the plain transposed views.
+    weighted = np.conj(stacked)
+    weighted /= lam[:, np.newaxis]
+    r = np.conj(weighted @ stacked.transpose(0, 2, 1))  # (F, JK, JK)
+    p = np.conj(weighted @ data.transpose(0, 2, 1))  # (F, JK, J)
     jk = r.shape[1]
     load = eps * np.maximum(np.real(np.trace(r, axis1=1, axis2=2)) / jk, eps)  # (F,)
     filters = np.linalg.solve(

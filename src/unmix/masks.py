@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformer import sig_cov
+from .beamformer import sig_cov, window_covariances
 from .errors import NoSignalError, ShapeError
 from .signal_io import SPEED_OF_SOUND, MaskFile
 
@@ -83,8 +83,9 @@ _doa_grid_cache = {}  # holds only the latest (positions, band, grid) entry
 
 
 def _doa_grid(geometry, freqs, grid_deg):
-    """Azimuth grid and the conjugated steering vectors (A, Fb, J), scaled to
-    unit norm, that estimate_doa matches against.
+    """Azimuth grid and the conjugated steering vectors, scaled to unit norm
+    and laid out contiguously as (Fb, A, J), that DOA estimation matches
+    against.
 
     Every window of a run asks for the same geometry, band and grid, so the
     latest grid is kept and rebuilt only when one of them changes.
@@ -93,22 +94,41 @@ def _doa_grid(geometry, freqs, grid_deg):
     if key not in _doa_grid_cache:
         azimuths = np.arange(0.0, 360.0, grid_deg)
         steer = steering_vectors(geometry, freqs, azimuths)
-        steer_conj = np.conj(steer / np.sqrt(steer.shape[2]))
+        steer_conj = np.ascontiguousarray(
+            np.conj(np.swapaxes(steer, 0, 1) / np.sqrt(steer.shape[2]))
+        )
         steer_conj.flags.writeable = False
         _doa_grid_cache.clear()
         _doa_grid_cache[key] = (azimuths, steer_conj)
     return _doa_grid_cache[key]
 
 
+def doa_from_eigenvectors(vectors, freqs, geometry, grid_deg=1.0, f_min=300.0, f_max=4000.0):
+    """Azimuth in [0, 360) of the source whose spatial covariances have the
+    eigenvectors `vectors` (..., bins, J, J), eigenvalues ascending as
+    np.linalg.eigh returns them; freqs: (bins,) in Hz.
+
+    Per frequency bin in [f_min, f_max], the principal eigenvector is matched
+    against a grid of far-field steering vectors; match scores are summed
+    over the band and the argmax azimuth returned: a float for one source, an
+    array of the leading shape for a stack.
+    """
+    band = (freqs >= f_min) & (freqs <= f_max)
+    azimuths, steer_conj = _doa_grid(geometry, freqs[band], grid_deg)
+    principal = vectors[..., -1][..., band, :]  # (..., Fb, J)
+    match = steer_conj @ principal[..., np.newaxis]  # (..., Fb, A, 1)
+    scores = np.abs(match[..., 0]) ** 2
+    doa = azimuths[np.argmax(scores.sum(axis=-2), axis=-1)]
+    return float(doa) if doa.ndim == 0 else doa
+
+
 def estimate_doa(masks, spec, geometry, grid_deg=1.0, f_min=300.0, f_max=4000.0):
     """Estimate the azimuth of the source selected by each mask.
 
     masks: (frames, bins), or a stack (..., frames, bins) of such masks.
-    Per frequency bin: mask-weighted spatial covariance, principal
-    eigenvector, then matching against a grid of far-field steering vectors;
-    match scores are summed over 300-4000 Hz and the argmax azimuth returned
-    in [0, 360): a float for one mask, an array of the leading shape for a
-    stack.
+    The mask-weighted spatial covariances of the bins in [f_min, f_max] are
+    eigendecomposed and matched by doa_from_eigenvectors: a float for one
+    mask, an array of the leading shape for a stack.
     """
     masks = np.asarray(masks, dtype=np.float64)
     if masks.shape[-2:] != (spec.frame_count, spec.bins):
@@ -119,11 +139,7 @@ def estimate_doa(masks, spec, geometry, grid_deg=1.0, f_min=300.0, f_max=4000.0)
     band = (freqs >= f_min) & (freqs <= f_max)
     cov = sig_cov(spec.data[:, :, band], masks[..., band])  # (..., Fb, J, J)
     _, vecs = np.linalg.eigh(cov)
-    principal = vecs[..., -1]  # (..., Fb, J)
-    azimuths, steer_conj = _doa_grid(geometry, freqs[band], grid_deg)
-    scores = np.abs(np.einsum("afj,...fj->...af", steer_conj, principal)) ** 2
-    doa = azimuths[np.argmax(scores.sum(axis=-1), axis=-1)]
-    return float(doa) if doa.ndim == 0 else doa
+    return doa_from_eigenvectors(vecs, freqs[band], geometry, grid_deg, f_min, f_max)
 
 
 def circular_difference_deg(a, b):
@@ -131,17 +147,22 @@ def circular_difference_deg(a, b):
     return min(d, 360.0 - d)
 
 
-def merge_heads_if_same_doa(mask_set, spec, geometry, threshold_deg=15.0):
+def merge_heads_if_same_doa(mask_set, spec, geometry, threshold_deg=15.0, covariances=None):
     """Merge the two speech heads when their DOA estimates nearly coincide.
 
+    The DOAs come from the speech-head eigenvectors of covariances, the
+    window_covariances of mask_set over spec (computed here when not given).
     If the circular DOA difference is strictly below the threshold the head
     with the larger total mask mass absorbs the elementwise sum (clipped to 1)
-    and the other head is zeroed. A head with no mass is left unmerged.
+    and the other head is zeroed; mask_set itself is returned when nothing
+    merges. A head with no mass is left unmerged.
     """
     masses = [float(np.sum(mask_set.speech[i])) for i in range(2)]
     if min(masses) < EPS:
         return mask_set
-    doas = estimate_doa(mask_set.speech, spec, geometry)
+    if covariances is None:
+        covariances = window_covariances(spec.data, mask_set)
+    doas = doa_from_eigenvectors(covariances.vectors, spec.bin_frequencies(), geometry)
     if circular_difference_deg(doas[0], doas[1]) >= threshold_deg:
         return mask_set
     dominant = 0 if masses[0] >= masses[1] else 1

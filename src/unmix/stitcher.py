@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformer import beamform_window
+from .beamformer import beamform_window, window_covariances
 from .errors import InsufficientInputError, ShapeError
 from .masks import merge_heads_if_same_doa, normalize_masks
 from .pit import PERMUTATIONS
@@ -120,9 +120,11 @@ def separate_windows(
     through spec.frames(start, end), in order. mode "masking" applies the
     stitched masks to the reference channel; mode "beamforming"
     additionally merges same-direction heads and runs the MVDR beamformer
-    per window. Yields (emit_lo, emit_hi, frames) for each window: the
-    (2, emit_hi - emit_lo, bins) output spectra of the frames it emits. The
-    emitted ranges follow each other and cover [0, spec.frame_count).
+    per window, both from one window_covariances of the window (recomputed
+    only when the heads merge). Yields (emit_lo, emit_hi, frames) for each
+    window: the (2, emit_hi - emit_lo, bins) output spectra of the frames it
+    emits. The emitted ranges follow each other and cover
+    [0, spec.frame_count).
     """
     if mode not in ("masking", "beamforming"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -136,9 +138,12 @@ def separate_windows(
             window_slice = Spectrogram(
                 data=window_data, config=spec.config, sample_rate=spec.sample_rate
             )
-            mset = merge_heads_if_same_doa(
-                mset, window_slice, geometry, threshold_deg=merge_threshold_deg
+            covs = window_covariances(window_data, mset, interference_mode)
+            merged = merge_heads_if_same_doa(
+                mset, window_slice, geometry, merge_threshold_deg, covariances=covs
             )
+            if merged is not mset:
+                mset, covs = merged, window_covariances(window_data, merged, interference_mode)
         ref_mag = np.abs(window_data[ref])
         state, (emit_lo, emit_hi), permuted = align_and_emit(
             state, mset, ref_mag, (start, end)
@@ -147,7 +152,7 @@ def separate_windows(
             window_out = permuted.speech * window_data[ref][np.newaxis]
         else:
             window_out = beamform_window(
-                window_data, permuted, ref, interference_mode=interference_mode
+                window_data, permuted, ref, covariances=covs.permuted(state.permutation)
             )
         yield emit_lo, emit_hi, window_out[:, emit_lo - start : emit_hi - start]
 

@@ -72,6 +72,35 @@ class TestSigCov:
             assert np.all(eigvals[..., 0] >= -1e-8 * np.maximum(traces, 1e-30))
 
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        stack=st.sampled_from([(), (1,), (3,), (2, 2)]),
+        j=st.integers(1, 7),
+        frames=st.integers(1, 40),
+        bins_=st.integers(1, 20),
+        zero_first=st.booleans(),
+    )
+    def test_matches_masked_outer_product_reference(
+        self, seed, stack, j, frames, bins_, zero_first
+    ):
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((j, frames, bins_)) + 1j * rng.standard_normal(
+            (j, frames, bins_)
+        )
+        masks = rng.uniform(0, 1, stack + (frames, bins_))
+        if zero_first:
+            masks.reshape((-1, frames, bins_))[0] = 0.0
+        cov = sig_cov(data, masks)
+        mx = masks[..., np.newaxis, :, :] * data  # (..., J, T, F)
+        num = np.einsum("...itf,...ktf->...fik", mx, np.conj(mx))
+        expected = num / np.maximum(np.sum(masks**2, axis=-2), 1e-10)[..., None, None]
+        scale = np.max(np.abs(expected), axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(cov - expected) <= 1e-12 * scale)
+        if zero_first:
+            assert np.all(cov.reshape((-1, bins_, j, j))[0] == 0.0)
+
+
 class TestMvdrWeights:
     def _rank_one_setup(self, rng, j=7, bins_=257):
         freqs = np.linspace(100, 8000, bins_)
@@ -235,6 +264,24 @@ class TestBeamformWindow:
         for i in range(2):
             out_energy = np.sum(np.abs(out[i]) ** 2)
             assert 10 * np.log10(out_energy / in_energy) < -30.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        j=st.integers(1, 7),
+        frames=st.integers(1, 40),
+        bins_=st.integers(1, 20),
+    )
+    def test_apply_weights_matches_einsum_reference(self, seed, j, frames, bins_):
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((j, frames, bins_)) + 1j * rng.standard_normal(
+            (j, frames, bins_)
+        )
+        w = rng.standard_normal((bins_, j)) + 1j * rng.standard_normal((bins_, j))
+        expected = np.einsum("fj,jtf->tf", np.conj(w), data)
+        out = apply_weights(w, data)
+        assert out.shape == (frames, bins_)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
 
     def test_apply_weights_matches_manual(self, rng):
         data = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))

@@ -686,6 +686,22 @@ class TestEvaluate:
         scene = _simulate(tmp_path)
         assert main(["evaluate", str(tmp_path / "absent"), str(scene)]) == EXIT_DATA
 
+    def test_truth_mixture_without_reference_channel_is_data_error(
+        self, tmp_path, capsys, shared_scene
+    ):
+        truth = tmp_path / "truth"
+        shutil.copytree(shared_scene, truth)
+        mixture = read_wave(truth / "mixture.wav").samples
+        write_wave(MultichannelWave(mixture[:2], 16000), truth / "mixture.wav", dtype="float32")
+        est = tmp_path / "est"
+        est.mkdir()
+        for i in (0, 1):
+            write_wave(MultichannelWave(mixture[i], 16000), est / f"out{i}.wav", dtype="float32")
+        config = tmp_path / "pipeline.cfg"
+        config.write_text("reference_index = 3\n")
+        argv = ["evaluate", str(est), str(truth), "--config", str(config)]
+        assert "mixture.wav has 2 channels" in _assert_data_error(capsys, argv)
+
     def test_improvement_uses_configured_reference_channel(self, tmp_path):
         scene = _simulate(tmp_path)
         mixture = read_wave(scene / "mixture.wav").samples

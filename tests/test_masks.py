@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unmix.beamformer import window_covariances
 from unmix.errors import NoSignalError, ShapeError
 from unmix.masks import (
     MaskSet,
     circular_difference_deg,
+    doa_from_eigenvectors,
     estimate_doa,
     merge_heads_if_same_doa,
     normalize_masks,
@@ -212,6 +214,28 @@ class TestDoa:
         assert estimate_doa(ones, spec, geometry) == first
 
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        azimuths=st.tuples(
+            st.floats(0.0, 360.0, exclude_max=True), st.floats(0.0, 360.0, exclude_max=True)
+        ),
+        mode=st.sampled_from(["ssn", "complement"]),
+    )
+    def test_shared_eigenvectors_give_estimate_doa(self, seed, azimuths, mode):
+        geometry = circular_array()
+        a = plane_wave_spectrogram(geometry, azimuths[0], frames=20, seed=seed % 1000)
+        b = plane_wave_spectrogram(geometry, azimuths[1], frames=20, seed=seed % 1000 + 1)
+        rng = np.random.default_rng(seed)
+        noise = 0.1 * (rng.standard_normal(a.data.shape) + 1j * rng.standard_normal(a.data.shape))
+        spec = _spec(a.data + b.data + noise)
+        masks = rng.uniform(0, 1, (3, spec.frame_count, spec.bins))
+        mset = MaskSet(speech=masks[:2], noise=masks[2])
+        covs = window_covariances(spec.data, mset, mode)
+        shared = doa_from_eigenvectors(covs.vectors, spec.bin_frequencies(), geometry)
+        np.testing.assert_array_equal(shared, estimate_doa(mset.speech, spec, geometry))
+
+
 class TestMergeHeads:
     def _split_mask_set(self, spec, geometry, rng):
         # one physical source artificially split across both heads
@@ -261,7 +285,7 @@ class TestMergeHeads:
         )
         calls = []
         monkeypatch.setattr(  # difference exactly 15 degrees
-            "unmix.masks.estimate_doa",
+            "unmix.masks.doa_from_eigenvectors",
             lambda *a, **k: calls.append(a) or np.array([10.0, 25.0]),
         )
         out = merge_heads_if_same_doa(mset, spec, geometry, threshold_deg=15.0)

@@ -3,11 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unmix import beamformer
+from unmix.beamformer import beamform_window
 from unmix.errors import InsufficientInputError, ShapeError
 from unmix.masks import (
     ChannelSwappingProvider,
     MaskSet,
     OracleMaskProvider,
+    merge_heads_if_same_doa,
+    normalize_masks,
 )
 from unmix.metrics import si_sdr
 from unmix.signal_io import circular_array
@@ -320,3 +324,74 @@ class TestRunPipeline:
             np.testing.assert_array_equal(
                 a[i].data[:, :boundary], b[i].data[:, :boundary]
             )
+
+
+class _FixedProvider:
+    def __init__(self, mask_set):
+        self.mask_set = mask_set
+
+    def mask_for_window(self, c, s, e):
+        return self.mask_set
+
+
+class TestBeamformingStatistics:
+    """Each beamforming window computes its covariance stack and speech-head
+    eigendecomposition once; only a merge recomputes them."""
+
+    plan = WindowPlan(150, 38)
+
+    def test_unmerged_window_computes_covariances_and_eigh_once(
+        self, rng, geometry, monkeypatch
+    ):
+        mixture, refs = _activity_spectrogram(
+            rng, StftConfig(), 150, [[(0, 150)], [(0, 150)]], geometry
+        )
+        cov_calls, eigh_shapes = [], []
+        sig_cov, eigh = beamformer.sig_cov, np.linalg.eigh
+        monkeypatch.setattr(
+            beamformer, "sig_cov", lambda *a: cov_calls.append(a) or sig_cov(*a)
+        )
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda a: eigh_shapes.append(a.shape) or eigh(a)
+        )
+        out = run_pipeline(
+            mixture, _oracle_provider(mixture, refs), self.plan, "beamforming", geometry
+        )
+        assert len(cov_calls) == 1
+        assert eigh_shapes == [(2, mixture.bins, 7, 7)]
+        assert all(np.sum(np.abs(o.data) ** 2) > 0.0 for o in out)  # not merged
+
+    def test_merged_window_beamforms_from_the_merged_masks(self, rng, geometry):
+        spec = plane_wave_spectrogram(geometry, 30.0, frames=150)
+        data = spec.data + 0.05 * (
+            rng.standard_normal(spec.data.shape) + 1j * rng.standard_normal(spec.data.shape)
+        )
+        spec = Spectrogram(data=data, config=spec.config, sample_rate=16000)
+        split = rng.uniform(0.2, 0.8, (spec.frame_count, spec.bins))
+        provided = MaskSet(
+            speech=np.stack([0.9 * split, 0.9 * (1.0 - split)]),
+            noise=np.full(split.shape, 0.1),
+        )
+        mset = normalize_masks(provided)  # as the stitcher sees them
+        merged = merge_heads_if_same_doa(mset, spec, geometry)
+        assert merged is not mset
+        out = run_pipeline(
+            spec, _FixedProvider(provided), self.plan, "beamforming", geometry
+        )
+        expected = beamform_window(data, merged, geometry.reference_index)
+        for i in range(2):
+            np.testing.assert_array_equal(out[i].data[0], expected[i])
+
+    def test_head_swaps_leave_beamforming_output_bit_identical(self, rng, geometry):
+        mixture, refs = _activity_spectrogram(
+            rng, StftConfig(), 300, [[(0, 200)], [(100, 300)]], geometry
+        )
+        plain = run_pipeline(
+            mixture, _oracle_provider(mixture, refs), self.plan, "beamforming", geometry
+        )
+        swapping = ChannelSwappingProvider(_oracle_provider(mixture, refs), seed=3)
+        swapped = run_pipeline(mixture, swapping, self.plan, "beamforming", geometry)
+        assert len(set(swapping.swaps.values())) == 2
+        order = (1, 0) if swapping.swaps[0] else (0, 1)
+        for i in range(2):
+            np.testing.assert_array_equal(swapped[i].data, plain[order[i]].data)
