@@ -7,7 +7,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io.wavfile
 
 from .errors import FormatError, RangeError, UnsupportedFormatError
 
@@ -98,30 +97,13 @@ class WaveReader:
 
     def __init__(self, path):
         try:
-            # mmap=True parses the header without reading the samples; they
-            # are read below with plain file reads, because mapped pages
-            # would count toward the process's resident memory
-            rate, data = scipy.io.wavfile.read(path, mmap=True)
-        except (OSError, ValueError, struct.error, EOFError) as exc:
-            bits = _packed_pcm_bits(path) if isinstance(exc, ValueError) else None
-            if bits:
-                raise UnsupportedFormatError(
-                    f"unsupported WAV sample format {bits}-bit PCM in {path}"
-                ) from exc
-            raise FormatError(f"cannot read WAV file {path}: {exc}") from exc
-        if (data.dtype.kind, data.dtype.itemsize) not in {("i", 2), ("f", 4), ("f", 8)}:
-            raise UnsupportedFormatError(
-                f"unsupported WAV sample format {data.dtype} in {path}"
-            )
-        if rate <= 0:
-            raise FormatError(f"WAV file {path} has sample rate {rate}")
+            fh = open(path, "rb")
+        except OSError as exc:
+            raise FormatError(f"cannot read WAV file {path}: {exc.strerror or exc}") from exc
+        with fh:
+            header = _read_wav_header(fh, path)
         self.path = path
-        self.sample_rate = int(rate)
-        self.num_samples = data.shape[0]
-        self.channel_count = 1 if data.ndim == 1 else data.shape[1]
-        self._dtype = data.dtype
-        self._offset = data.offset or 0  # an empty data chunk is not mapped
-        del data
+        self.sample_rate, self.channel_count, self._dtype, self._offset, self.num_samples = header
         if self._dtype.kind == "f":
             for lo in range(0, self.num_samples, _BLOCK_SAMPLES):
                 block = self.read(lo, min(lo + _BLOCK_SAMPLES, self.num_samples))
@@ -144,24 +126,66 @@ class WaveReader:
         return data.astype(np.float64).T
 
 
-def _packed_pcm_bits(path):
-    """Bits per sample of a WAV file whose PCM samples are packed in 3, 5, 6
-    or 7 bytes, which no numpy dtype holds (so scipy cannot map them); None
-    for any other file. Reads the header chunks, not the samples."""
-    with open(path, "rb") as fh:
-        if fh.read(12)[:4] != b"RIFF":
-            return None
-        while len(head := fh.read(8)) == 8:
-            chunk, size = struct.unpack("<4sI", head)
-            if chunk == b"fmt ":
-                fmt = fh.read(size).ljust(26, b"\0")
-                tag, channels, _, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt)
-                if tag == 0xFFFE:  # WAVE_FORMAT_EXTENSIBLE: the tag of its subformat
-                    tag = struct.unpack_from("<H", fmt, 24)[0]
-                packed = tag == 1 and channels and block_align // channels in (3, 5, 6, 7)
-                return bits if packed else None
-            fh.seek(size + size % 2, os.SEEK_CUR)
-    return None
+def _read_wav_header(fh, path):
+    """(sample rate, channels, sample dtype, data offset, frames) of the WAV
+    file open as fh: a RIFF, RIFX (big-endian) or RF64 form, read chunk by
+    chunk up to its data chunk; no sample is read."""
+
+    def bad(what):
+        return FormatError(f"cannot read WAV file {path}: {what}")
+
+    head = fh.read(12)
+    form = head[:4]
+    if len(head) < 12 or form not in (b"RIFF", b"RIFX", b"RF64"):
+        raise bad("not a RIFF, RIFX or RF64 file")
+    if head[8:] != b"WAVE":
+        raise bad(f"form type {head[8:]!r} is not WAVE")
+    order = ">" if form == b"RIFX" else "<"
+    fmt = rf64_data_bytes = None
+    while True:
+        chunk = fh.read(8)
+        if len(chunk) < 8:
+            raise bad("header ends inside a chunk" if chunk else "no data chunk")
+        chunk_id, size = struct.unpack(order + "4sI", chunk)
+        if chunk_id == b"data":
+            break
+        body = fh.read(size) if chunk_id in (b"fmt ", b"ds64") else b""
+        if chunk_id == b"fmt ":
+            fmt = body
+        elif chunk_id == b"ds64" and len(body) >= 16:
+            rf64_data_bytes = struct.unpack_from("<Q", body, 8)[0]
+        fh.seek(size - len(body) + size % 2, os.SEEK_CUR)  # the pad byte of an odd size
+    if fmt is None:
+        raise bad("no fmt chunk before the data chunk")
+    if len(fmt) < 16:
+        raise bad(f"fmt chunk of {len(fmt)} bytes")
+    tag, channels, rate, _, block_align, bits = struct.unpack_from(order + "HHIIHH", fmt)
+    if tag == 0xFFFE and len(fmt) >= 28:  # WAVE_FORMAT_EXTENSIBLE: the tag of its subformat
+        tag = struct.unpack_from(order + "I", fmt, 24)[0]
+    if channels == 0 or block_align < channels:
+        raise bad(f"{channels} channels in frames of {block_align} bytes")
+    if rate == 0:
+        raise bad("sample rate 0")
+    width = block_align // channels
+    if tag == 1 and width == 2 and bits > 8:
+        dtype = np.dtype(order + "i2")
+    elif tag == 3 and bits == 8 * width and width in (4, 8):
+        dtype = np.dtype(f"{order}f{width}")
+    else:
+        name = {1: f"{bits}-bit PCM", 3: f"{bits}-bit float"}.get(tag, f"format tag {tag}")
+        raise UnsupportedFormatError(f"unsupported WAV sample format {name} in {path}")
+    data_bytes = size
+    if form == b"RF64":  # the data chunk's own size field holds 0xFFFFFFFF
+        if rf64_data_bytes is None:
+            raise bad("RF64 file without a ds64 chunk")
+        data_bytes = rf64_data_bytes
+    if data_bytes // width % channels:
+        raise bad("data chunk ends inside a frame")
+    frames = data_bytes // (width * channels)
+    offset = fh.tell()
+    if offset + frames * width * channels > os.fstat(fh.fileno()).st_size:
+        raise bad(f"data chunk of {data_bytes} bytes runs past the end of the file")
+    return rate, channels, dtype, offset, frames
 
 
 def read_wave(path):

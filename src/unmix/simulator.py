@@ -4,7 +4,6 @@ spherical isotropic noise, and two-speaker mixtures with ground truth."""
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.signal
 
 from .errors import GeometryError
 from .signal_io import SPEED_OF_SOUND, ArrayGeometry, MultichannelWave, circular_array
@@ -270,6 +269,8 @@ def make_mixture(mix_spec, room, sources, sample_rate=16000):
     (MultichannelWave mixture, GroundTruth); the ground-truth images plus the
     noise track reconstruct the mixture exactly.
     """
+    import scipy.signal  # here, not at the top: separate and evaluate run without scipy
+
     k = len(sources)
     if mix_spec.configuration == "single":
         if k != 1:

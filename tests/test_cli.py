@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -15,10 +16,16 @@ from hypothesis import strategies as st
 import unmix.cli
 from unmix.cli import EXIT_DATA, EXIT_INVARIANT, EXIT_OK, main
 from unmix.config import load_pipeline_config
-from unmix.errors import ConfigurationError, ShapeError
+from unmix.errors import ConfigurationError, FormatError, ShapeError, UnsupportedFormatError
 from unmix.masks import MaskSet, OracleMaskProvider, oracle_masks
 from unmix.metrics import best_permutation_eval
-from unmix.signal_io import MultichannelWave, read_wave, write_mask_file, write_wave
+from unmix.signal_io import (
+    MultichannelWave,
+    WaveReader,
+    read_wave,
+    write_mask_file,
+    write_wave,
+)
 from unmix.stft import StftConfig, StftFrames, analyze
 
 SCENE = """
@@ -136,15 +143,54 @@ def _masking_peak_mb(tmp_path, seconds, rng, provider):
             track = 0.1 * rng.standard_normal(seconds * rate, dtype=np.float32)
             scipy.io.wavfile.write(truth / f"{name}.wav", rate, track)
         argv += ["--truth-dir", str(truth)]
-    src = str(Path(unmix.cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = subprocess.run(
         [sys.executable, "-c", MEMORY_PROBE, *argv],
-        capture_output=True, text=True, check=True, env=env,
+        capture_output=True, text=True, check=True, env=_env_with_src(),
     )
     code, peak_mb = probe.stdout.split()
     assert int(code) == EXIT_OK, probe.stderr
     return float(peak_mb)
+
+
+def _env_with_src():
+    """The environment of a child interpreter that imports this unmix."""
+    src = str(Path(unmix.cli.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def _riff(*chunks, form=b"WAVE"):
+    body = form + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _fmt(tag=1, channels=7, bits=16, block_align=14):
+    fields = (16, tag, channels, 16000, 16000 * block_align, block_align, bits)
+    return b"fmt " + struct.pack("<IHHIIHH", *fields)
+
+
+def _data(size, declared=None):
+    return b"data" + struct.pack("<I", size if declared is None else declared) + bytes(size)
+
+
+# WAV inputs that separate rejects at open: (file bytes, error, text of the error)
+BAD_WAVS = {
+    "data past the end": (_riff(_fmt(), _data(1400, 14000)), FormatError, "past the end"),
+    "8-bit PCM": (
+        _riff(_fmt(bits=8, block_align=7), _data(700)), UnsupportedFormatError, "8-bit PCM"
+    ),
+    "32-bit PCM": (
+        _riff(_fmt(bits=32, block_align=28), _data(2800)), UnsupportedFormatError, "32-bit PCM"
+    ),
+    "A-law": (
+        _riff(_fmt(tag=6, bits=8, block_align=7), _data(700)),
+        UnsupportedFormatError,
+        "format tag 6",
+    ),
+    "not WAVE": (_riff(_fmt(), _data(1400), form=b"AVI "), FormatError, "not WAVE"),
+    "no fmt": (_riff(_data(1400)), FormatError, "no fmt chunk"),
+    "data before fmt": (_riff(_data(1400), _fmt()), FormatError, "no fmt chunk"),
+    "zero channels": (_riff(_fmt(channels=0), _data(1400)), FormatError, "0 channels"),
+}
 
 
 def _truth_with(tmp_path, scene, edit):
@@ -482,6 +528,24 @@ class TestSeparate:
             b = read_wave(sep_file / f"out{i}.wav").samples
             # float32 container quantizes the masks; outputs stay close
             assert np.max(np.abs(a - b)) < 1e-4
+
+
+@pytest.mark.parametrize("content, error, text", BAD_WAVS.values(), ids=BAD_WAVS.keys())
+def test_bad_wav_input_is_data_error(tmp_path, capsys, content, error, text):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(content)
+    with pytest.raises(error, match=text):
+        WaveReader(path)
+    assert text in _assert_data_error(capsys, ["separate", str(path), str(tmp_path / "sep")])
+
+
+def test_separate_runs_without_scipy():
+    script = Path(__file__).with_name("separate_without_scipy.py")
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True, text=True, env=_env_with_src(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -80,6 +80,78 @@ def test_24_bit_pcm_is_named_unsupported(tmp_path, tag, tail):
         WaveReader(path)
 
 
+def _wav_file_bytes(data, rate, container, extensible, list_before, list_after):
+    """A WAV file of `data` (frames, channels) in a RIFF, RIFX or RF64
+    container, with a plain or a WAVE_FORMAT_EXTENSIBLE fmt chunk and an
+    optional LIST chunk of odd size on either side of it."""
+    order = ">" if container == "RIFX" else "<"
+
+    def chunk(chunk_id, body, size=None):
+        size = len(body) if size is None else size
+        return chunk_id + struct.pack(order + "I", size) + body + b"\0" * (len(body) % 2)
+
+    channels, width = data.shape[1], data.dtype.itemsize
+    tag = 3 if data.dtype.kind == "f" else 1
+    fmt = struct.pack(
+        order + "HHIIHH",
+        0xFFFE if extensible else tag,
+        channels,
+        rate,
+        rate * channels * width,
+        channels * width,
+        8 * width,
+    )
+    if extensible:  # cbSize, valid bits, channel mask, subformat GUID
+        guid_tail = "000000108000" if order == ">" else "000010008000"
+        fmt += struct.pack(order + "HHII", 22, 8 * width, 0, tag)
+        fmt += bytes.fromhex(guid_tail + "00aa00389b71")
+    lists = [
+        chunk(b"LIST", b"INFO" + b"x" * size) if size else b""
+        for size in (list_before, list_after)
+    ]
+    payload = data.astype(data.dtype.newbyteorder(order)).tobytes()
+    rf64 = container == "RF64"
+    chunks = lists[0] + chunk(b"fmt ", fmt) + lists[1]
+    chunks += chunk(b"data", payload, 0xFFFFFFFF if rf64 else None)
+    if not rf64:
+        return container.encode() + struct.pack(order + "I", 4 + len(chunks)) + b"WAVE" + chunks
+    ds64 = chunk(b"ds64", struct.pack("<QQQI", 4 + 36 + len(chunks), len(payload), len(data), 0))
+    return b"RF64" + b"\xff" * 4 + b"WAVE" + ds64 + chunks
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    dtype=st.sampled_from(["int16", "float32", "float64"]),
+    channels=st.integers(1, 8),
+    frames=st.integers(0, 41),
+    container=st.sampled_from(["RIFF", "RIFX", "RF64"]),
+    extensible=st.booleans(),
+    list_before=st.sampled_from([0, 1, 5]),
+    list_after=st.sampled_from([0, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_wave_reader_reads_what_scipy_reads(
+    dtype, channels, frames, container, extensible, list_before, list_after, seed
+):
+    rng = np.random.default_rng(seed)
+    if dtype == "int16":
+        data = rng.integers(-32768, 32768, (frames, channels)).astype(np.int16)
+    else:
+        data = rng.uniform(-1.0, 1.0, (frames, channels)).astype(dtype)
+    content = _wav_file_bytes(data, 22050, container, extensible, list_before, list_after)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.wav"
+        path.write_bytes(content)
+        rate, theirs = scipy.io.wavfile.read(path)
+        reader = WaveReader(path)
+        ours = reader.read(0, reader.num_samples)
+    theirs = theirs.reshape(frames, channels)
+    np.testing.assert_array_equal(theirs, data)
+    expected = theirs.T / 32768.0 if dtype == "int16" else theirs.T.astype(np.float64)
+    assert (reader.sample_rate, reader.channel_count) == (rate, channels)
+    np.testing.assert_array_equal(ours, expected)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_samples_are_format_error(tmp_path, bad):
     data = np.zeros((100, 2), dtype=np.float32)
