@@ -19,7 +19,7 @@ from .config import (
     load_scene_spec,
     pipeline_config_text,
 )
-from .dereverb import wpe_stream
+from .dereverb import WpeFrames
 from .errors import (
     ConfigurationError,
     FormatError,
@@ -36,7 +36,7 @@ from .metrics import (
 )
 from .signal_io import MultichannelWave, WaveReader, WaveWriter, read_wave, write_wave
 from .simulator import make_mixture, speech_like_source
-from .stft import OverlapAdd, StftFrames, analyze
+from .stft import OverlapAdd, StftFrames
 from .stitcher import plan_windows, separate_windows
 
 log = logging.getLogger("unmix")
@@ -265,7 +265,7 @@ def cmd_separate(args):
             for path in partial
         ]
         provider = _make_provider(config, frames, reader, config.plan)
-        spec = wpe_stream(analyze(reader, config.stft), config.wpe) if config.dereverb else frames
+        spec = WpeFrames(frames, config.wpe) if config.dereverb else frames
         overlap_add = OverlapAdd(config.stft, 2, spec.frame_count)
         for _, _, window_out in separate_windows(
             spec,

@@ -151,6 +151,13 @@ class PipelineConfig:
             raise ValueError(
                 f"mask_provider must be 'oracle' or 'file:<path>', got {self.mask_provider!r}"
             )
+        if not (np.isfinite(self.array_radius) and self.array_radius > 0):
+            raise ValueError(f"array_radius must be finite and > 0, got {self.array_radius}")
+        if not 0 <= self.doa_merge_threshold_deg <= 180:  # NaN fails too
+            raise ValueError(
+                "doa_merge_threshold_deg must be in [0, 180], "
+                f"got {self.doa_merge_threshold_deg}"
+            )
         self.geometry()  # ArrayGeometry checks reference_index
 
     def geometry(self):

@@ -21,6 +21,10 @@ class WpeConfig:
     def __post_init__(self):
         if self.taps < 1 or self.delay < 1 or self.iterations < 1:
             raise ValueError("taps, delay and iterations must all be >= 1")
+        for name in ("update_interval", "context", "epsilon"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def _delayed_stack(data, taps, delay):
@@ -43,11 +47,11 @@ def _wpe_filters(data, stacked, estimate, config):
     R = (stacked / lambda) @ stacked^H with stacked^H of shape (F, T, JK).
 
     Returns (filters (F, JK, J), lambda (F, T), per-frequency ridge load (F,),
-    pre-update weighted residual).
+    |estimate|^2 (F, J, T)).
     """
     eps = config.epsilon
-    lam = np.maximum(np.mean(np.abs(estimate) ** 2, axis=1), eps)  # (F, T)
-    residual_pre = float(np.sum(np.abs(estimate) ** 2 / lam[:, np.newaxis]))
+    power = np.abs(estimate) ** 2
+    lam = np.maximum(np.mean(power, axis=1), eps)  # (F, T)
     # conj(stacked) / lambda is the only (F, JK, T) temporary: R and P are the
     # conjugates of its products with the plain transposed views.
     weighted = np.conj(stacked)
@@ -59,7 +63,35 @@ def _wpe_filters(data, stacked, estimate, config):
     filters = np.linalg.solve(
         r + load[:, np.newaxis, np.newaxis] * np.eye(jk), p
     )
-    return filters, lam, load, residual_pre
+    return filters, lam, load, power
+
+
+_CHUNK_BINS = 16  # bins whose iterations wpe_block runs together
+
+
+def _wpe_bins(data, config, residuals):
+    """The iterations of wpe_block on the (F, J, T) data of some bins.
+
+    Returns (estimate (F, J, T), last filters (F, JK, J)). When residuals is
+    an (iterations, 2) array, each iteration adds the (pre, post) objective
+    of these bins to its row.
+    """
+    stacked = _delayed_stack(data, config.taps, config.delay)
+    estimate = data
+    prev_filters = None
+    for i in range(config.iterations):
+        filters, lam, load, power = _wpe_filters(data, stacked, estimate, config)
+        prediction = np.conj(filters).transpose(0, 2, 1) @ stacked  # (F, J, T)
+        estimate = data - prediction
+        if residuals is not None:
+            weight = load[:, np.newaxis, np.newaxis]
+            pre = np.sum(power / lam[:, np.newaxis])
+            if prev_filters is not None:
+                pre += np.sum(weight * np.abs(prev_filters) ** 2)
+            post = np.sum(np.abs(estimate) ** 2 / lam[:, np.newaxis])
+            residuals[i] += pre, post + np.sum(weight * np.abs(filters) ** 2)
+        prev_filters = filters
+    return estimate, filters
 
 
 def wpe_block(spec, config=None, collect_residuals=None, collect_filters=None):
@@ -68,72 +100,94 @@ def wpe_block(spec, config=None, collect_residuals=None, collect_filters=None):
     Per frequency, each iteration estimates the per-frame variance from the
     current dereverberated signal, solves regularized normal equations for
     multichannel prediction filters over delayed frames, and subtracts the
-    prediction. Output has the same shape as the input (MIMO).
+    prediction. Output has the same shape as the input (MIMO). Every
+    quantity is per bin, so the iterations run over _CHUNK_BINS bins at a
+    time, which bounds the temporaries without changing the output.
 
     When `collect_residuals` is a list, (pre, post) values of the regularized
     objective sum(|d|^2 / lambda) + load * ||G||^2 are appended per iteration.
     The filter solve minimizes exactly this ridge objective under the current
     variances, so within an iteration the post value never exceeds the pre
-    value.
+    value. When `collect_filters` is a list, the block's final (F, JK, J)
+    filters are appended.
     """
     config = config or WpeConfig()
     if spec.frame_count < config.delay + config.taps:
         raise InsufficientInputError(
             f"block of {spec.frame_count} frames is shorter than delay + taps"
         )
-    data = np.ascontiguousarray(np.transpose(spec.data, (2, 0, 1)))  # (F, J, T)
-    stacked = _delayed_stack(data, config.taps, config.delay)
-    estimate = data
-    prev_filters = None
-    for _ in range(config.iterations):
-        filters, lam, load, residual_pre = _wpe_filters(data, stacked, estimate, config)
-        prediction = np.conj(filters).transpose(0, 2, 1) @ stacked  # (F, J, T)
-        estimate = data - prediction
-        if collect_residuals is not None:
-            penalty_pre = 0.0
-            if prev_filters is not None:
-                penalty_pre = float(
-                    np.sum(load[:, np.newaxis, np.newaxis] * np.abs(prev_filters) ** 2)
-                )
-            residual_post = float(np.sum(np.abs(estimate) ** 2 / lam[:, np.newaxis]))
-            penalty_post = float(
-                np.sum(load[:, np.newaxis, np.newaxis] * np.abs(filters) ** 2)
-            )
-            collect_residuals.append(
-                (residual_pre + penalty_pre, residual_post + penalty_post)
-            )
-        prev_filters = filters
+    residuals = None if collect_residuals is None else np.zeros((config.iterations, 2))
+    out = np.empty_like(spec.data)
+    filters = []
+    for lo in range(0, spec.bins, _CHUNK_BINS):
+        chunk = slice(lo, lo + _CHUNK_BINS)
+        data = np.ascontiguousarray(np.transpose(spec.data[:, :, chunk], (2, 0, 1)))
+        estimate, chunk_filters = _wpe_bins(data, config, residuals)
+        out[:, :, chunk] = np.transpose(estimate, (1, 2, 0))
+        filters.append(chunk_filters)
+    if collect_residuals is not None:
+        collect_residuals.extend((float(pre), float(post)) for pre, post in residuals)
     if collect_filters is not None:
-        collect_filters.append(filters)
-    return Spectrogram(
-        data=np.transpose(estimate, (1, 2, 0)),
-        config=spec.config,
-        sample_rate=spec.sample_rate,
-    )
+        collect_filters.append(np.concatenate(filters))
+    return Spectrogram(data=out, config=spec.config, sample_rate=spec.sample_rate)
+
+
+class WpeFrames:
+    """WPE-dereverberated frames of a frame source, one range at a time.
+
+    source: a StftFrames or a Spectrogram; config: a WpeConfig, kept as
+    `wpe`, while `config` is the source's StftConfig, so that a WpeFrames
+    stands in for its source. The filters are re-estimated once per update
+    interval: each block of that many frames is the tail of a wpe_block over
+    its trailing context of `context` seconds, the block included. Ranges
+    are asked for in order of their starts, like StftFrames.frames; the
+    source is read forward only, and only the output from the latest start
+    on is kept.
+    """
+
+    def __init__(self, source, config=None, collect_filters=None):
+        self.wpe = config or WpeConfig()
+        self.config = source.config
+        self.sample_rate = source.sample_rate
+        self.channel_count = source.channel_count
+        self.frame_count = source.frame_count
+        self.bins = source.bins
+        frame_rate = source.sample_rate / source.config.hop
+        self._block = max(int(round(self.wpe.update_interval * frame_rate)), 1)
+        self._context = max(int(round(self.wpe.context * frame_rate)), self._block)
+        self._source = source
+        self._collect_filters = collect_filters
+        self._start = self._end = 0  # output is held for frames [_start, _end)
+        self._data = np.empty((self.channel_count, 0, self.bins), dtype=np.complex128)
+
+    def frames(self, start, end):
+        """Frames [start, end) as a (channels, end - start, bins) array."""
+        if not self._start <= start <= end <= self.frame_count:
+            raise ValueError(
+                f"frames [{start}, {end}) are out of order or past {self.frame_count}"
+            )
+        pieces = [self._data[:, start - self._start :]]
+        while self._end < end:
+            block_end = min(self._end + self._block, self.frame_count)
+            context_start = max(0, block_end - self._context)
+            context = Spectrogram(
+                data=self._source.frames(context_start, block_end),
+                config=self.config,
+                sample_rate=self.sample_rate,
+            )
+            out = wpe_block(context, self.wpe, collect_filters=self._collect_filters)
+            pieces.append(out.data[:, max(self._end, start) - context_start :])
+            self._end = block_end
+        self._data, self._start = np.concatenate(pieces, axis=1), start
+        return self._data[:, : end - start]
 
 
 def wpe_stream(spec, config=None, collect_filters=None):
-    """Blockwise WPE with periodic filter updates.
-
-    Filters are re-estimated once per update interval on a trailing context
-    window (config.context seconds, including the current block) and applied
-    to that block; the output is the concatenation of the blocks. A signal no
-    longer than one block reduces exactly to wpe_block.
-    """
-    config = config or WpeConfig()
-    frame_rate = spec.frame_rate()
-    block = max(int(round(config.update_interval * frame_rate)), 1)
-    context = max(int(round(config.context * frame_rate)), block)
-    total = spec.frame_count
-    out = np.empty_like(spec.data)
-    for start in range(0, total, block):
-        end = min(start + block, total)
-        ctx_start = max(0, end - context)
-        ctx_spec = Spectrogram(
-            data=spec.data[:, ctx_start:end],
-            config=spec.config,
-            sample_rate=spec.sample_rate,
-        )
-        processed = wpe_block(ctx_spec, config, collect_filters=collect_filters)
-        out[:, start:end] = processed.data[:, start - ctx_start : end - ctx_start]
-    return Spectrogram(data=out, config=spec.config, sample_rate=spec.sample_rate)
+    """All WpeFrames of a Spectrogram, as one Spectrogram. A signal no
+    longer than one block reduces exactly to wpe_block."""
+    frames = WpeFrames(spec, config, collect_filters)
+    return Spectrogram(
+        data=frames.frames(0, spec.frame_count),
+        config=spec.config,
+        sample_rate=spec.sample_rate,
+    )

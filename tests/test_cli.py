@@ -114,10 +114,11 @@ print(code, int(hwm.split()[1]) / 1024.0)
 """
 
 
-def _masking_peak_mb(tmp_path, seconds, rng, provider):
+def _masking_peak_mb(tmp_path, seconds, rng, provider, settings=()):
     """Peak RSS (MB) of `separate` in masking mode, in a fresh process, on
     `seconds` of 7-channel noise, with a random mask container ("file") or
-    a truth directory of mono noise tracks ("oracle")."""
+    a truth directory of mono noise tracks ("oracle"), and the given
+    KEY=VALUE config settings."""
     from unmix.stitcher import WindowPlan, plan_windows
 
     rate = 16000
@@ -126,7 +127,8 @@ def _masking_peak_mb(tmp_path, seconds, rng, provider):
     scipy.io.wavfile.write(mixture, rate, samples)
     del samples
     argv = ["separate", str(mixture), str(tmp_path / f"sep_{provider}{seconds}")]
-    argv += ["--set", "mode=masking"]
+    for setting in ("mode=masking", *settings):
+        argv += ["--set", setting]
     if provider == "file":
         plan, stft = WindowPlan(), StftConfig()
         windows = len(plan_windows(stft.frame_count(seconds * rate), plan))
@@ -430,7 +432,7 @@ class TestSeparate:
             raise AssertionError("work started before the output path was checked")
 
         monkeypatch.setattr(unmix.cli, "separate_windows", unreachable)
-        monkeypatch.setattr(unmix.cli, "wpe_stream", unreachable)
+        monkeypatch.setattr(unmix.cli, "WpeFrames", unreachable)
         (tmp_path / "sep").write_text("")
         argv = ["separate", str(shared_scene / "mixture.wav"), str(tmp_path / "sep")]
         argv += ["--truth-dir", str(shared_scene), "--set", "dereverb=true"]
@@ -440,7 +442,7 @@ class TestSeparate:
         def unreachable(*args, **kwargs):
             raise AssertionError("WPE ran before the mask provider was built")
 
-        monkeypatch.setattr(unmix.cli, "wpe_stream", unreachable)
+        monkeypatch.setattr(unmix.cli, "WpeFrames", unreachable)
         truth = tmp_path / "truth"
         shutil.copytree(shared_scene, truth)
         (truth / "source0.wav").unlink()
@@ -467,10 +469,12 @@ class TestSeparate:
         assert (outdir / "out0.wav").read_bytes() == b"an earlier run"
 
     def test_peak_memory_does_not_grow_with_the_recording(self, tmp_path, rng):
-        for provider in ("file", "oracle"):
-            short = _masking_peak_mb(tmp_path, 20, rng, provider)
-            long = _masking_peak_mb(tmp_path, 80, rng, provider)
-            assert abs(long - short) < 15.0, (provider, short, long)
+        # a small WPE keeps the dereverberated runs to seconds
+        dereverb = ("dereverb=true", "wpe_iterations=1", "wpe_context=1", "wpe_taps=2")
+        for provider, settings in (("file", ()), ("oracle", ()), ("file", dereverb)):
+            short = _masking_peak_mb(tmp_path, 20, rng, provider, settings)
+            long = _masking_peak_mb(tmp_path, 80, rng, provider, settings)
+            assert abs(long - short) < 15.0, (provider, settings, short, long)
 
     @pytest.mark.parametrize("edit", BAD_TRUTH.values(), ids=BAD_TRUTH.keys())
     def test_bad_truth_metadata_is_data_error(self, tmp_path, capsys, shared_scene, edit):
@@ -826,6 +830,16 @@ INVALID_SETTINGS = [
     "wpe_taps=0",
     "fft_size=256",
     "reference_index=9",
+    "wpe_update_interval=nan",
+    "wpe_update_interval=inf",
+    "wpe_update_interval=-1",
+    "wpe_context=nan",
+    "wpe_context=inf",
+    "wpe_context=-5",
+    "array_radius=nan",
+    "array_radius=0",
+    "doa_merge_threshold_deg=nan",
+    "doa_merge_threshold_deg=181",
 ]
 
 

@@ -1,15 +1,25 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unmix.dereverb import WpeConfig, _delayed_stack, _wpe_filters, wpe_block, wpe_stream
+import unmix.dereverb
+from unmix.dereverb import (
+    WpeConfig,
+    WpeFrames,
+    _delayed_stack,
+    _wpe_filters,
+    wpe_block,
+    wpe_stream,
+)
 from unmix.errors import InsufficientInputError
 from unmix.metrics import si_sdr
 from unmix.signal_io import MultichannelWave, circular_array
 from unmix.simulator import RoomSpec, image_method_rirs, speech_like_source
-from unmix.stft import Spectrogram, StftConfig, analyze, synthesize
+from unmix.stft import Spectrogram, StftConfig, StftFrames, analyze, synthesize
 
 FS = 16000
 
@@ -103,15 +113,16 @@ def _einsum_iteration(data, stacked, estimate, config):
 
 
 @st.composite
-def random_blocks(draw):
-    """A random complex (F, J, T) block and a one-iteration WpeConfig.
+def random_blocks(draw, bins=st.integers(2, 5)):
+    """A random complex (F, J, T) block of `bins` bins and a one-iteration
+    WpeConfig.
 
     Each frequency gets at least four frames per unknown of its normal
     equations, so the solve is well conditioned, as it is on real blocks
     (249 frames for 70 unknowns), and does not amplify last-bit differences
     in R into the filters.
     """
-    bins = draw(st.integers(2, 5))
+    bins = draw(bins)
     channels = draw(st.integers(1, 3))
     taps = draw(st.integers(1, 3))
     delay = draw(st.integers(1, 3))
@@ -212,3 +223,82 @@ class TestWpeStream:
         spec = analyze(wave)
         out = wpe_stream(spec)
         assert out.data.shape == spec.data.shape
+
+
+class TestChunkedBins:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        block=random_blocks(bins=st.integers(2, 40)),
+        iterations=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_any_chunk_width_matches_the_whole_band(self, block, iterations, data):
+        block_data, config = block
+        config.iterations = iterations
+        spec = _as_spectrogram(block_data)
+        width = data.draw(st.integers(1, spec.bins), label="width")
+
+        def run(chunk_bins):
+            residuals, filters = [], []
+            with mock.patch.object(unmix.dereverb, "_CHUNK_BINS", chunk_bins):
+                out = wpe_block(spec, config, residuals, filters)
+            return out.data, filters, residuals
+
+        out, filters, residuals = run(width)
+        whole_out, whole_filters, whole_residuals = run(spec.bins)
+        np.testing.assert_array_equal(out, whole_out)
+        assert len(filters) == len(whole_filters) == 1
+        np.testing.assert_array_equal(filters[0], whole_filters[0])
+        np.testing.assert_allclose(residuals, whole_residuals, rtol=1e-12)
+
+
+WPE_STFT = StftConfig(fft_size=8, window_size=8, hop=4)  # 5 bins, 4000 frames/s
+
+
+@st.composite
+def wpe_frame_requests(draw):
+    """A random multichannel wave with a WpeConfig of a few frames per block,
+    and in-order frame ranges of its WpeFrames.
+
+    The recording may be shorter than one block, and its last block shorter
+    than the others; every context holds at least delay + taps frames.
+    """
+    taps, delay = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    block = draw(st.integers(delay + taps, 12))
+    context = draw(st.integers(block, 3 * block))
+    frames = draw(st.integers(delay + taps, 5 * block))
+    rate = WPE_STFT.hop * 4000
+    config = WpeConfig(
+        taps=taps, delay=delay, iterations=1,
+        update_interval=block / 4000, context=context / 4000,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = (frames - 1) * WPE_STFT.hop + WPE_STFT.window_size
+    wave = MultichannelWave(rng.standard_normal((draw(st.integers(1, 2)), samples)), rate)
+    starts = sorted(draw(st.lists(st.integers(0, frames), min_size=1, max_size=6)))
+    ranges = [(lo, draw(st.integers(lo, frames))) for lo in starts]
+    return wave, config, ranges
+
+
+class TestWpeFrames:
+    @settings(max_examples=60, deadline=None)
+    @given(request=wpe_frame_requests())
+    def test_ranges_match_wpe_stream(self, request):
+        wave, config, ranges = request
+        expected = wpe_stream(analyze(wave, WPE_STFT), config).data
+        frames = WpeFrames(StftFrames(wave, WPE_STFT), config)
+        for start, end in ranges:
+            np.testing.assert_array_equal(frames.frames(start, end), expected[:, start:end])
+
+    def test_out_of_order_range_raises(self):
+        wave = MultichannelWave(np.ones((1, 400)), 16000)
+        frames = WpeFrames(StftFrames(wave, WPE_STFT), WpeConfig(taps=1, delay=1))
+        frames.frames(10, 20)
+        with pytest.raises(ValueError, match="out of order"):
+            frames.frames(5, 20)
+
+    @pytest.mark.parametrize("key", ["update_interval", "context", "epsilon"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_config_rejects_non_positive_or_non_finite(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            WpeConfig(**{key: value})
