@@ -250,6 +250,8 @@ def cmd_separate(args):
         )
     started = time.monotonic()
     frames = StftFrames(reader, config.stft)
+    provider = _make_provider(config, frames, reader, config.plan)
+    spec = WpeFrames(frames, config.wpe) if config.dereverb else frames
 
     # The streams are written as the windows are separated, under temporary
     # names that replace out0.wav/out1.wav only once both are complete; a
@@ -264,8 +266,6 @@ def cmd_separate(args):
             )
             for path in partial
         ]
-        provider = _make_provider(config, frames, reader, config.plan)
-        spec = WpeFrames(frames, config.wpe) if config.dereverb else frames
         overlap_add = OverlapAdd(config.stft, 2, spec.frame_count)
         for _, _, window_out in separate_windows(
             spec,

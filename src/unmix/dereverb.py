@@ -1,11 +1,16 @@
 """STFT-domain multichannel linear-prediction dereverberation (weighted
 prediction error), applied ahead of separation."""
 
+import ctypes
+import functools
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientInputError
+from .errors import ConfigurationError, InsufficientInputError
 from .stft import Spectrogram
 
 
@@ -27,10 +32,15 @@ class WpeConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
-def _delayed_stack(data, taps, delay):
-    """Stack delayed frames: (F, J, T) -> (F, J*taps, T)."""
+def _delayed_stack(data, taps, delay, out=None):
+    """Stack delayed frames: (F, J, T) -> (F, J*taps, T), written to
+    out[:F] when out is given."""
     f, j, t = data.shape
-    stacked = np.zeros((f, j * taps, t), dtype=data.dtype)
+    if out is None:
+        stacked = np.zeros((f, j * taps, t), dtype=data.dtype)
+    else:
+        stacked = out[:f]
+        stacked[...] = 0
     for k in range(taps):
         d = delay + k
         if d >= t:
@@ -39,7 +49,7 @@ def _delayed_stack(data, taps, delay):
     return stacked
 
 
-def _wpe_filters(data, stacked, estimate, config):
+def _wpe_filters(data, stacked, estimate, config, out=None):
     """One half-iteration: variance update then normal-equation solve.
 
     Everything is laid out (F, rows, T), so both correlations are one batched
@@ -47,14 +57,15 @@ def _wpe_filters(data, stacked, estimate, config):
     R = (stacked / lambda) @ stacked^H with stacked^H of shape (F, T, JK).
 
     Returns (filters (F, JK, J), lambda (F, T), per-frequency ridge load (F,),
-    |estimate|^2 (F, J, T)).
+    |estimate|^2 (F, J, T)). The (F, JK, T) temporary is written to out[:F]
+    when out is given.
     """
     eps = config.epsilon
     power = np.abs(estimate) ** 2
     lam = np.maximum(np.mean(power, axis=1), eps)  # (F, T)
     # conj(stacked) / lambda is the only (F, JK, T) temporary: R and P are the
     # conjugates of its products with the plain transposed views.
-    weighted = np.conj(stacked)
+    weighted = np.conj(stacked, out=None if out is None else out[: len(stacked)])
     weighted /= lam[:, np.newaxis]
     r = np.conj(weighted @ stacked.transpose(0, 2, 1))  # (F, JK, JK)
     p = np.conj(weighted @ data.transpose(0, 2, 1))  # (F, JK, J)
@@ -66,21 +77,102 @@ def _wpe_filters(data, stacked, estimate, config):
     return filters, lam, load, power
 
 
-_CHUNK_BINS = 16  # bins whose iterations wpe_block runs together
+_CHUNK_BINS = 4  # bins whose iterations one worker of wpe_block runs together
 
 
-def _wpe_bins(data, config, residuals):
+@functools.cache
+def _blas_thread_calls():
+    """(get, set) of the loaded OpenBLAS's thread count, or None if the
+    library exports neither naming of them."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    try:  # numpy's OpenBLAS is a dependency of this extension: its handle finds the symbols
+        library = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for get, set_ in (
+        ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+        ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ):
+        if hasattr(library, get) and hasattr(library, set_):
+            return getattr(library, get), getattr(library, set_)
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread, then restore its count; yields whether
+    it could."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield False
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(before)
+
+
+def _worker_count():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
+def _run_all(work, items, workspaces):
+    """work(item, workspace) for every item, on the calling thread with
+    workspaces[0] and on one helper thread per further workspace; the threads
+    pull the items from one iterator. Once every thread has stopped, the
+    first error is raised; after an error the threads take no more items."""
+    items = iter(items)
+    lock = threading.Lock()
+    errors = []
+
+    def drain(workspace):
+        while not errors:
+            with lock:
+                item = next(items, None)
+            if item is None:
+                return
+            try:
+                work(item, workspace)
+            except BaseException as exc:
+                errors.append(exc)
+
+    helpers = [threading.Thread(target=drain, args=(w,)) for w in workspaces[1:]]
+    for helper in helpers:
+        helper.start()
+    try:
+        drain(workspaces[0])
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+
+
+def _wpe_bins(data, config, residuals, workspace):
     """The iterations of wpe_block on the (F, J, T) data of some bins.
 
     Returns (estimate (F, J, T), last filters (F, JK, J)). When residuals is
     an (iterations, 2) array, each iteration adds the (pre, post) objective
-    of these bins to its row.
+    of these bins to its row. workspace is a (2, >= F, JK, T) array that
+    holds the two largest temporaries.
     """
-    stacked = _delayed_stack(data, config.taps, config.delay)
+    stacked = _delayed_stack(data, config.taps, config.delay, workspace[0])
     estimate = data
     prev_filters = None
     for i in range(config.iterations):
-        filters, lam, load, power = _wpe_filters(data, stacked, estimate, config)
+        filters, lam, load, power = _wpe_filters(
+            data, stacked, estimate, config, workspace[1]
+        )
         prediction = np.conj(filters).transpose(0, 2, 1) @ stacked  # (F, J, T)
         estimate = data - prediction
         if residuals is not None:
@@ -101,8 +193,12 @@ def wpe_block(spec, config=None, collect_residuals=None, collect_filters=None):
     current dereverberated signal, solves regularized normal equations for
     multichannel prediction filters over delayed frames, and subtracts the
     prediction. Output has the same shape as the input (MIMO). Every
-    quantity is per bin, so the iterations run over _CHUNK_BINS bins at a
-    time, which bounds the temporaries without changing the output.
+    quantity is per bin, so the iterations run on bands of _CHUNK_BINS bins,
+    which bounds the temporaries without changing the output. The bands run
+    on every CPU the process may use, with OpenBLAS held to one thread
+    meanwhile; each band is solved on one thread, so the output does not
+    depend on the number of CPUs. Where no OpenBLAS thread setting is found,
+    the bands run one after another on the calling thread.
 
     When `collect_residuals` is a list, (pre, post) values of the regularized
     objective sum(|d|^2 / lambda) + load * ||G||^2 are appended per iteration.
@@ -116,17 +212,31 @@ def wpe_block(spec, config=None, collect_residuals=None, collect_filters=None):
         raise InsufficientInputError(
             f"block of {spec.frame_count} frames is shorter than delay + taps"
         )
-    residuals = None if collect_residuals is None else np.zeros((config.iterations, 2))
     out = np.empty_like(spec.data)
-    filters = []
-    for lo in range(0, spec.bins, _CHUNK_BINS):
-        chunk = slice(lo, lo + _CHUNK_BINS)
+    bands = range(0, spec.bins, _CHUNK_BINS)
+    filters, residuals = [None] * len(bands), [None] * len(bands)
+
+    def run_band(index, workspace):
+        chunk = slice(bands[index], bands[index] + _CHUNK_BINS)
         data = np.ascontiguousarray(np.transpose(spec.data[:, :, chunk], (2, 0, 1)))
-        estimate, chunk_filters = _wpe_bins(data, config, residuals)
+        if collect_residuals is not None:
+            residuals[index] = np.zeros((config.iterations, 2))
+        estimate, filters[index] = _wpe_bins(data, config, residuals[index], workspace)
         out[:, :, chunk] = np.transpose(estimate, (1, 2, 0))
-        filters.append(chunk_filters)
+
+    with _one_blas_thread() as pinned:
+        workers = min(_worker_count(), len(bands)) if pinned else 1
+        # Allocated here, where freed memory is at hand: glibc serves each
+        # helper thread from a heap of its own, which would add its
+        # temporaries to the peak.
+        jk = spec.channel_count * config.taps
+        workspaces = [
+            np.empty((2, min(_CHUNK_BINS, spec.bins), jk, spec.frame_count), spec.data.dtype)
+            for _ in range(workers)
+        ]
+        _run_all(run_band, range(len(bands)), workspaces)
     if collect_residuals is not None:
-        collect_residuals.extend((float(pre), float(post)) for pre, post in residuals)
+        collect_residuals.extend((float(pre), float(post)) for pre, post in sum(residuals))
     if collect_filters is not None:
         collect_filters.append(np.concatenate(filters))
     return Spectrogram(data=out, config=spec.config, sample_rate=spec.sample_rate)
@@ -153,7 +263,13 @@ class WpeFrames:
         self.frame_count = source.frame_count
         self.bins = source.bins
         frame_rate = source.sample_rate / source.config.hop
-        self._block = max(int(round(self.wpe.update_interval * frame_rate)), 1)
+        self._block = int(round(self.wpe.update_interval * frame_rate))
+        if self._block < self.wpe.delay + self.wpe.taps:
+            raise ConfigurationError(
+                f"wpe_update_interval = {self.wpe.update_interval} s gives blocks of "
+                f"{self._block} frames, fewer than wpe_delay + wpe_taps = "
+                f"{self.wpe.delay + self.wpe.taps}"
+            )
         self._context = max(int(round(self.wpe.context * frame_rate)), self._block)
         self._source = source
         self._collect_filters = collect_filters

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import unmix.cli
+import unmix.dereverb
 from unmix.cli import EXIT_DATA, EXIT_INVARIANT, EXIT_OK, main
 from unmix.config import load_pipeline_config
 from unmix.errors import ConfigurationError, FormatError, ShapeError, UnsupportedFormatError
@@ -432,7 +434,7 @@ class TestSeparate:
             raise AssertionError("work started before the output path was checked")
 
         monkeypatch.setattr(unmix.cli, "separate_windows", unreachable)
-        monkeypatch.setattr(unmix.cli, "WpeFrames", unreachable)
+        monkeypatch.setattr(unmix.dereverb, "wpe_block", unreachable)
         (tmp_path / "sep").write_text("")
         argv = ["separate", str(shared_scene / "mixture.wav"), str(tmp_path / "sep")]
         argv += ["--truth-dir", str(shared_scene), "--set", "dereverb=true"]
@@ -449,6 +451,29 @@ class TestSeparate:
         argv = ["separate", str(shared_scene / "mixture.wav"), str(tmp_path / "sep")]
         argv += ["--truth-dir", str(truth), "--set", "dereverb=true"]
         assert "source0.wav" in _assert_data_error(capsys, argv)
+
+    def test_wpe_blocks_shorter_than_delay_plus_taps_exit_before_any_output(
+        self, tmp_path, capsys, shared_scene
+    ):
+        # 0.1 s is 6 frames of the 4 s scene; delay + taps is 12
+        argv = ["separate", str(shared_scene / "mixture.wav"), str(tmp_path / "sep")]
+        argv += ["--truth-dir", str(shared_scene), "--set", "dereverb=true"]
+        err = _assert_data_error(capsys, argv + ["--set", "wpe_update_interval=0.1"])
+        assert "wpe_update_interval" in err and "6 frames" in err and "12" in err, err
+        assert not (tmp_path / "sep").exists()
+
+    def test_dereverb_output_does_not_depend_on_worker_count(self, tmp_path, shared_scene):
+        def separate(name):
+            outdir = tmp_path / name
+            argv = ["separate", str(shared_scene / "mixture.wav"), str(outdir)]
+            argv += ["--truth-dir", str(shared_scene)]
+            argv += ["--set", "mode=beamforming", "--set", "dereverb=true"]
+            assert main(argv) == EXIT_OK
+            return [(outdir / f"out{i}.wav").read_bytes() for i in (0, 1)]
+
+        with mock.patch.object(unmix.dereverb, "_worker_count", return_value=1):
+            one = separate("one")
+        assert separate("all") == one
 
     def test_failed_run_leaves_no_partial_output(self, tmp_path, shared_scene, monkeypatch):
         outdir = tmp_path / "sep"

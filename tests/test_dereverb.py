@@ -1,3 +1,5 @@
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -250,6 +252,124 @@ class TestChunkedBins:
         assert len(filters) == len(whole_filters) == 1
         np.testing.assert_array_equal(filters[0], whole_filters[0])
         np.testing.assert_allclose(residuals, whole_residuals, rtol=1e-12)
+
+
+def _fixed_block(bins):
+    """A seeded random (bins, 2, 60) block and a two-iteration WpeConfig."""
+    rng = np.random.default_rng(5)
+    shape = (bins, 2, 60)
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return data, WpeConfig(taps=3, delay=2, iterations=2)
+
+
+def _blas_threads():
+    """The loaded OpenBLAS's thread count; skips the test where none is found."""
+    calls = unmix.dereverb._blas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS thread setting found")
+    return calls[0]()
+
+
+class TestBandsOnThreads:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        block=random_blocks(bins=st.integers(2 * unmix.dereverb._CHUNK_BINS + 1, 40)),
+        iterations=st.integers(1, 3),
+    )
+    def test_worker_count_does_not_change_the_output(self, block, iterations):
+        block_data, config = block
+        config.iterations = iterations
+        spec = _as_spectrogram(block_data)
+
+        def run(workers):
+            residuals, filters = [], []
+            with mock.patch.object(unmix.dereverb, "_worker_count", return_value=workers):
+                out = wpe_block(spec, config, residuals, filters)
+            return out.data, filters, residuals
+
+        out, filters, residuals = run(1)
+        out3, filters3, residuals3 = run(3)
+        np.testing.assert_array_equal(out, out3)
+        assert len(filters) == len(filters3) == 1
+        np.testing.assert_array_equal(filters[0], filters3[0])
+        assert residuals == residuals3
+
+    def test_bands_run_with_one_blas_thread_and_restore_the_count(self, monkeypatch):
+        before = _blas_threads()
+        wpe_bins = unmix.dereverb._wpe_bins
+        during = []
+
+        def recording(*args):
+            during.append(unmix.dereverb._blas_thread_calls()[0]())
+            return wpe_bins(*args)
+
+        monkeypatch.setattr(unmix.dereverb, "_wpe_bins", recording)
+        monkeypatch.setattr(unmix.dereverb, "_worker_count", lambda: 3)
+        data, config = _fixed_block(bins=10)
+        wpe_block(_as_spectrogram(data), config)
+        bands = len(range(0, 10, unmix.dereverb._CHUNK_BINS))
+        assert during == [1] * bands
+        assert _blas_threads() == before
+
+    @pytest.mark.parametrize("failing", ["main thread", "helper thread"])
+    def test_error_in_a_band_reaches_the_caller(self, monkeypatch, failing):
+        before = _blas_threads()
+        threads = threading.active_count()
+        wpe_bins = unmix.dereverb._wpe_bins
+
+        def failing_on(*args):
+            on_main = threading.current_thread() is threading.main_thread()
+            if on_main == (failing == "main thread"):
+                raise RuntimeError(f"band failed on the {failing}")
+            time.sleep(0.05)  # leave bands for the failing thread to fail on
+            return wpe_bins(*args)
+
+        monkeypatch.setattr(unmix.dereverb, "_wpe_bins", failing_on)
+        monkeypatch.setattr(unmix.dereverb, "_worker_count", lambda: 3)
+        data, config = _fixed_block(bins=24)
+        with pytest.raises(RuntimeError, match=failing):
+            wpe_block(_as_spectrogram(data), config)
+        assert threading.active_count() == threads
+        assert _blas_threads() == before
+
+    def test_residuals_are_summed_in_band_order(self, monkeypatch):
+        _blas_threads()
+        data, config = _fixed_block(bins=24)
+        spec = _as_spectrogram(data)
+        monkeypatch.setattr(unmix.dereverb, "_worker_count", lambda: 1)
+        in_order = []
+        wpe_block(spec, config, collect_residuals=in_order)
+        wpe_bins = unmix.dereverb._wpe_bins
+
+        def first_band_last(band, *args):
+            if np.array_equal(band, data[: unmix.dereverb._CHUNK_BINS]):
+                time.sleep(0.1)
+            return wpe_bins(band, *args)
+
+        monkeypatch.setattr(unmix.dereverb, "_wpe_bins", first_band_last)
+        monkeypatch.setattr(unmix.dereverb, "_worker_count", lambda: 3)
+        residuals = []
+        wpe_block(spec, config, collect_residuals=residuals)
+        assert residuals == in_order
+
+    def test_without_a_blas_thread_setting_bands_run_on_the_calling_thread(self, monkeypatch):
+        data, config = _fixed_block(bins=10)
+        spec = _as_spectrogram(data)
+        pinned = wpe_block(spec, config)
+        wpe_bins = unmix.dereverb._wpe_bins
+        threads = []
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return wpe_bins(*args)
+
+        monkeypatch.setattr(unmix.dereverb, "_wpe_bins", recording)
+        monkeypatch.setattr(unmix.dereverb, "_blas_thread_calls", lambda: None)
+        monkeypatch.setattr(unmix.dereverb, "_worker_count", lambda: 3)
+        out = wpe_block(spec, config)
+        bands = len(range(0, 10, unmix.dereverb._CHUNK_BINS))
+        assert threads == [threading.main_thread()] * bands
+        np.testing.assert_array_equal(out.data, pinned.data)
 
 
 WPE_STFT = StftConfig(fft_size=8, window_size=8, hop=4)  # 5 bins, 4000 frames/s
