@@ -148,18 +148,13 @@ def gain_adjust(beamformed, mask, ref_mag):
     return beamformed * np.minimum(1.0, cap)
 
 
-def beamform_window(
-    window_data, mask_set, reference_index, interference_mode="ssn", covariances=None
-):
+def beamform_window(window_data, mask_set, reference_index, covariances):
     """Beamform one window into two output channels.
 
-    window_data: (J, frames, bins) complex slice of the mixture.
-    interference_mode: see window_covariances. covariances: the
-    window_covariances of mask_set, when the caller has them already.
+    window_data: (J, frames, bins) complex slice of the mixture;
+    covariances: the window_covariances of mask_set over it.
     Returns (2, frames, bins) complex.
     """
-    if covariances is None:
-        covariances = window_covariances(window_data, mask_set, interference_mode)
     phi, psi = covariances.phi, covariances.psi
     values, vectors = covariances.values, covariances.vectors
     ref_mag = np.abs(window_data[reference_index])

@@ -421,10 +421,12 @@ def build_parser():
 
 
 def main(argv=None):
-    logging.basicConfig(
-        level=os.environ.get("UNMIX_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get("UNMIX_LOG", "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):
+        levels = "DEBUG, INFO, WARNING, ERROR or CRITICAL"
+        print(f"error: UNMIX_LOG={level} is not {levels}", file=sys.stderr)
+        return EXIT_DATA
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

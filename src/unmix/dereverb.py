@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InsufficientInputError
-from .stft import Spectrogram
+from .stft import FrameSource, Spectrogram
 
 
 @dataclass
@@ -242,26 +242,19 @@ def wpe_block(spec, config=None, collect_residuals=None, collect_filters=None):
     return Spectrogram(data=out, config=spec.config, sample_rate=spec.sample_rate)
 
 
-class WpeFrames:
+class WpeFrames(FrameSource):
     """WPE-dereverberated frames of a frame source, one range at a time.
 
-    source: a StftFrames or a Spectrogram; config: a WpeConfig, kept as
-    `wpe`, while `config` is the source's StftConfig, so that a WpeFrames
-    stands in for its source. The filters are re-estimated once per update
-    interval: each block of that many frames is the tail of a wpe_block over
-    its trailing context of `context` seconds, the block included. Ranges
-    are asked for in order of their starts, like StftFrames.frames; the
-    source is read forward only, and only the output from the latest start
-    on is kept.
+    source: a StftFrames or a Spectrogram, whose StftConfig is `config`;
+    config: a WpeConfig, kept as `wpe`. The filters are re-estimated once
+    per update interval: each block of that many frames is the tail of a
+    wpe_block over its trailing context of `context` seconds, the block
+    included. The source is read forward only.
     """
 
-    def __init__(self, source, config=None, collect_filters=None):
+    def __init__(self, source, config=None):
+        super().__init__(source, source.config, source.frame_count)
         self.wpe = config or WpeConfig()
-        self.config = source.config
-        self.sample_rate = source.sample_rate
-        self.channel_count = source.channel_count
-        self.frame_count = source.frame_count
-        self.bins = source.bins
         frame_rate = source.sample_rate / source.config.hop
         self._block = int(round(self.wpe.update_interval * frame_rate))
         if self._block < self.wpe.delay + self.wpe.taps:
@@ -271,39 +264,17 @@ class WpeFrames:
                 f"{self.wpe.delay + self.wpe.taps}"
             )
         self._context = max(int(round(self.wpe.context * frame_rate)), self._block)
-        self._source = source
-        self._collect_filters = collect_filters
-        self._start = self._end = 0  # output is held for frames [_start, _end)
-        self._data = np.empty((self.channel_count, 0, self.bins), dtype=np.complex128)
 
-    def frames(self, start, end):
-        """Frames [start, end) as a (channels, end - start, bins) array."""
-        if not self._start <= start <= end <= self.frame_count:
-            raise ValueError(
-                f"frames [{start}, {end}) are out of order or past {self.frame_count}"
-            )
-        pieces = [self._data[:, start - self._start :]]
-        while self._end < end:
-            block_end = min(self._end + self._block, self.frame_count)
-            context_start = max(0, block_end - self._context)
-            context = Spectrogram(
-                data=self._source.frames(context_start, block_end),
-                config=self.config,
-                sample_rate=self.sample_rate,
-            )
-            out = wpe_block(context, self.wpe, collect_filters=self._collect_filters)
-            pieces.append(out.data[:, max(self._end, start) - context_start :])
-            self._end = block_end
-        self._data, self._start = np.concatenate(pieces, axis=1), start
-        return self._data[:, : end - start]
+    def _next(self, lo, end):
+        """The frames from lo to the end of lo's block."""
+        block_end = min((lo // self._block + 1) * self._block, self.frame_count)
+        context_start = max(0, block_end - self._context)
+        context = self._source.frames(context_start, block_end)
+        out = wpe_block(Spectrogram(context, self.config, self.sample_rate), self.wpe)
+        return out.data[:, lo - context_start :]
 
 
-def wpe_stream(spec, config=None, collect_filters=None):
+def wpe_stream(spec, config=None):
     """All WpeFrames of a Spectrogram, as one Spectrogram. A signal no
     longer than one block reduces exactly to wpe_block."""
-    frames = WpeFrames(spec, config, collect_filters)
-    return Spectrogram(
-        data=frames.frames(0, spec.frame_count),
-        config=spec.config,
-        sample_rate=spec.sample_rate,
-    )
+    return WpeFrames(spec, config).spectrogram()

@@ -20,10 +20,12 @@ class EvalReport:
     leakage_db: float = None
 
     def total_si_sdr(self):
-        return float(sum(self.per_channel_si_sdr))
+        return float(np.nansum(self.per_channel_si_sdr))  # a skipped channel is NaN
 
     def to_json(self):
-        return json.dumps(asdict(self), indent=2)
+        fields = asdict(self)  # a skipped channel is written as null
+        fields["per_channel_si_sdr"] = [None if np.isnan(v) else v for v in self.per_channel_si_sdr]
+        return json.dumps(fields, indent=2, allow_nan=False)
 
     def to_kv_text(self):
         lines = []

@@ -74,36 +74,33 @@ class Spectrogram:
     def bin_frequencies(self):
         return np.arange(self.bins) * self.sample_rate / self.config.fft_size
 
-    def frame_rate(self):
-        return self.sample_rate / self.config.hop
-
     def frames(self, start, end):
-        """Frames [start, end), the frame interface StftFrames shares."""
+        """Frames [start, end), the frame interface FrameSource shares."""
         return self.data[:, start:end]
 
 
-_CHUNK_FRAMES = 64  # frames per transform when a whole Spectrogram is collected
+_CHUNK_FRAMES = 64  # frames asked for at a time when a whole Spectrogram is collected
 
 
-class StftFrames:
-    """STFT frames of a sample source, computed one frame range at a time.
+class FrameSource:
+    """A grid of frames served one range at a time, in order of the starts.
 
-    source: a MultichannelWave or a signal_io.WaveReader (channel_count,
-    sample_rate, num_samples and read(lo, hi)). Frame t covers samples
-    [t*hop, t*hop + window_size); only full frames exist (no padding).
-    Ranges are asked for in order of their starts. The frames a range shares
-    with the previous one are carried over; only the frames past the
-    previous range's end are transformed, from just the samples they cover.
+    The frames are made from `source`, which gives the sample rate and
+    channel count, on the grid of StftConfig `config`. A subclass gives
+    _next(lo, end), the frames [lo, hi) for some hi > lo. Frames a range
+    shares with the previous one are carried over, only the frames past
+    those made so far are asked of _next, and only the frames from the
+    latest start on are kept.
     """
 
-    def __init__(self, source, config=None):
-        self.config = config or StftConfig()
+    def __init__(self, source, config, frame_count):
+        self.config = config
         self.sample_rate = source.sample_rate
         self.channel_count = source.channel_count
-        self.frame_count = self.config.frame_count(source.num_samples)
-        self.bins = self.config.bins
+        self.frame_count = frame_count
+        self.bins = config.bins
         self._source = source
-        self._start = self._end = 0
+        self._start = self._end = 0  # _data holds frames [_start, _end)
         self._data = np.empty((self.channel_count, 0, self.bins), dtype=np.complex128)
 
     def frames(self, start, end):
@@ -112,28 +109,48 @@ class StftFrames:
             raise ValueError(
                 f"frames [{start}, {end}) are out of order or past {self.frame_count}"
             )
-        kept = self._data[:, start - self._start : max(min(end, self._end) - self._start, 0)]
-        first = max(start, self._end)
-        if first < end:
-            config = self.config
-            samples = self._source.read(
-                first * config.hop, (end - 1) * config.hop + config.window_size
-            )
-            idx = np.arange(config.window_size)[np.newaxis, :] + (
-                config.hop * np.arange(end - first)[:, np.newaxis]
-            )
-            new = np.fft.rfft(samples[:, idx] * config.window(), n=config.fft_size, axis=2)
-            kept = np.concatenate([kept, new], axis=1) if kept.shape[1] else new
-        self._data, self._start, self._end = kept, start, end
-        return kept
+        kept = self._data[:, start - self._start :]
+        pieces = [kept] if kept.shape[1] else []
+        made = max(self._end, start)
+        while made < end:
+            pieces.append(self._next(made, end))
+            made += pieces[-1].shape[1]
+        # A lone piece is held as made, not copied: a copy would add to the
+        # peak and could change the memory layout that later steps round by.
+        self._data = np.concatenate(pieces, axis=1) if len(pieces) > 1 else (pieces or [kept])[0]
+        self._start, self._end = start, made
+        return self._data[:, : end - start]
 
     def spectrogram(self):
-        """All frames as one Spectrogram, transformed a chunk at a time."""
+        """All frames as one Spectrogram, made a chunk at a time."""
         data = np.empty((self.channel_count, self.frame_count, self.bins), np.complex128)
         for lo in range(0, self.frame_count, _CHUNK_FRAMES):
             hi = min(lo + _CHUNK_FRAMES, self.frame_count)
             data[:, lo:hi] = self.frames(lo, hi)
         return Spectrogram(data=data, config=self.config, sample_rate=self.sample_rate)
+
+
+class StftFrames(FrameSource):
+    """STFT frames of a sample source, computed one frame range at a time.
+
+    source: a MultichannelWave or a signal_io.WaveReader (channel_count,
+    sample_rate, num_samples and read(lo, hi)). Frame t covers samples
+    [t*hop, t*hop + window_size); only full frames exist (no padding). Each
+    range transforms only its frames past those made so far, from just the
+    samples they cover.
+    """
+
+    def __init__(self, source, config=None):
+        config = config or StftConfig()
+        super().__init__(source, config, config.frame_count(source.num_samples))
+
+    def _next(self, lo, end):
+        config = self.config
+        samples = self._source.read(lo * config.hop, (end - 1) * config.hop + config.window_size)
+        idx = np.arange(config.window_size)[np.newaxis, :] + (
+            config.hop * np.arange(end - lo)[:, np.newaxis]
+        )
+        return np.fft.rfft(samples[:, idx] * config.window(), n=config.fft_size, axis=2)
 
 
 def analyze(wave, config=None):

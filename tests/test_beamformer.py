@@ -10,6 +10,7 @@ from unmix.beamformer import (
     mvdr_weights,
     principal_component,
     sig_cov,
+    window_covariances,
 )
 from unmix.errors import ContractViolationError
 from unmix.masks import MaskSet, steering_vectors
@@ -248,7 +249,7 @@ class TestBeamformWindow:
             speech=np.stack([np.full((t, f), 0.9), np.zeros((t, f))]),
             noise=np.full((t, f), 0.1),
         )
-        out = beamform_window(data, mset, reference_index=0)
+        out = beamform_window(data, mset, 0, window_covariances(data, mset))
         assert np.all(out[1] == 0.0)
         assert np.sum(np.abs(out[0]) ** 2) > 0.0
 
@@ -259,7 +260,7 @@ class TestBeamformWindow:
         mset = MaskSet(
             speech=np.full((2, 60, 257), 0.01), noise=np.full((60, 257), 0.98)
         )
-        out = beamform_window(data, mset, reference_index=0)
+        out = beamform_window(data, mset, 0, window_covariances(data, mset))
         in_energy = np.sum(np.abs(data[0]) ** 2)
         for i in range(2):
             out_energy = np.sum(np.abs(out[i]) ** 2)

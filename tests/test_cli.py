@@ -761,6 +761,23 @@ class TestEvaluate:
         report = json.loads((sep / "report.json").read_text())
         assert report["nonmixing_violation_rate"] == 0.0
 
+    def test_one_talker_scene_writes_valid_json(self, tmp_path):
+        scene = _simulate(tmp_path, SCENE_NO_NOISE)
+        sep = tmp_path / "sep"
+        argv = ["separate", str(scene / "mixture.wav"), str(sep), "--truth-dir", str(scene)]
+        assert main(argv) == EXIT_OK
+        assert main(["evaluate", str(sep), str(scene)]) == EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads((sep / "report.json").read_text(), parse_constant=reject)
+        aggregate = json.loads((sep / "aggregate.json").read_text(), parse_constant=reject)
+        scored = [v for v in report["per_channel_si_sdr"] if v is not None]
+        assert len(scored) == 1  # the second reference is silent
+        assert np.isfinite(aggregate["mean_total_si_sdr"])
+        assert aggregate["mean_total_si_sdr"] == pytest.approx(scored[0])
+
     @pytest.mark.parametrize(
         "channels0, samples1, rate1",
         [(1, 2 * 16000, 16000), (1, 8 * 16000, 16000), (2, 4 * 16000, 16000), (1, 4 * 16000, 8000)],
@@ -917,6 +934,16 @@ class TestPrintConfig:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
         assert proc.returncode == EXIT_DATA
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+    @pytest.mark.parametrize("level, code", [("verbose", EXIT_DATA), ("debug", EXIT_OK)])
+    def test_log_level_comes_from_the_environment(self, level, code):
+        # in a fresh process: logging is configured once per process
+        cmd = [sys.executable, "-m", "unmix.cli", "print-config"]
+        env = {**_env_with_src(), "UNMIX_LOG": level}
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == code, proc.stderr
+        if code != EXIT_OK:
+            assert proc.stderr.startswith("error: UNMIX_LOG=") and proc.stderr.count("\n") == 1
 
 
 class TestUsage:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unmix import beamformer
-from unmix.beamformer import beamform_window
+from unmix.beamformer import beamform_window, window_covariances
 from unmix.errors import InsufficientInputError, ShapeError
 from unmix.masks import (
     ChannelSwappingProvider,
@@ -378,7 +378,9 @@ class TestBeamformingStatistics:
         out = run_pipeline(
             spec, _FixedProvider(provided), self.plan, "beamforming", geometry
         )
-        expected = beamform_window(data, merged, geometry.reference_index)
+        expected = beamform_window(
+            data, merged, geometry.reference_index, window_covariances(data, merged)
+        )
         for i in range(2):
             np.testing.assert_array_equal(out[i].data[0], expected[i])
 
