@@ -1,9 +1,10 @@
 """Dereverberate a single talker with weighted-prediction-error filtering.
 
 Renders a strongly reverberant 7-channel capture of one talker, runs the
-streaming WPE dereverberator (filters re-estimated once per second on a
-trailing context), and scores the reference channel before and after against
-the direct-plus-early-reflections signal. Linear-prediction dereverberation
+streaming WPE dereverberator (the first context solved as one block, then
+filters re-estimated once per second on a trailing context), and scores
+the reference channel before and after against the
+direct-plus-early-reflections signal. Linear-prediction dereverberation
 preserves the direct path and early reflections by design, so that is the
 reference it is judged against.
 
@@ -51,8 +52,9 @@ def main():
     config = WpeConfig()
     print(
         f"streaming WPE: {config.taps} taps, delay {config.delay}, "
-        f"{config.iterations} iterations, filters updated every "
-        f"{config.update_interval:.0f} s on a {config.context:.0f} s context"
+        f"{config.iterations} iterations; the first {config.context:.0f} s "
+        f"solved as one block, then filters updated every "
+        f"{config.update_interval:.0f} s on the trailing {config.context:.0f} s"
     )
     spec = analyze(MultichannelWave(captured, FS))
     out = synthesize(wpe_stream(spec, config))

@@ -16,11 +16,17 @@ from .stft import FrameSource, Spectrogram
 
 @dataclass
 class WpeConfig:
+    """WPE parameters. `taps`, `delay` and `iterations` are those of each
+    wpe_block; `update_interval` and `context` set the blocks of WpeFrames:
+    the first `context` seconds are solved as one block, and after them the
+    filters are re-estimated once per `update_interval` on the trailing
+    `context` seconds."""
+
     taps: int = 10
     delay: int = 2
     iterations: int = 3
     update_interval: float = 1.0  # seconds between filter re-estimations
-    context: float = 4.0  # trailing seconds used to estimate each filter
+    context: float = 4.0  # seconds of the first block and of each later solve
     epsilon: float = 1e-8
 
     def __post_init__(self):
@@ -246,10 +252,12 @@ class WpeFrames(FrameSource):
     """WPE-dereverberated frames of a frame source, one range at a time.
 
     source: a StftFrames or a Spectrogram, whose StftConfig is `config`;
-    config: a WpeConfig, kept as `wpe`. The filters are re-estimated once
-    per update interval: each block of that many frames is the tail of a
-    wpe_block over its trailing context of `context` seconds, the block
-    included. The source is read forward only.
+    config: a WpeConfig, kept as `wpe`. Each block of frames is the tail of
+    one wpe_block. The first block is the first `context` seconds (or the
+    whole recording, if shorter), solved as a whole, so no frame is served
+    before that much of the source has been read. After it comes one block
+    per update interval, solved on the `context` seconds that end where it
+    ends. The source is read forward only.
     """
 
     def __init__(self, source, config=None):
@@ -267,7 +275,10 @@ class WpeFrames(FrameSource):
 
     def _next(self, lo, end):
         """The frames from lo to the end of lo's block."""
-        block_end = min((lo // self._block + 1) * self._block, self.frame_count)
+        block_end = self._context
+        if lo >= self._context:
+            block_end += ((lo - self._context) // self._block + 1) * self._block
+        block_end = min(block_end, self.frame_count)
         context_start = max(0, block_end - self._context)
         context = self._source.frames(context_start, block_end)
         out = wpe_block(Spectrogram(context, self.config, self.sample_rate), self.wpe)
@@ -276,5 +287,5 @@ class WpeFrames(FrameSource):
 
 def wpe_stream(spec, config=None):
     """All WpeFrames of a Spectrogram, as one Spectrogram. A signal no
-    longer than one block reduces exactly to wpe_block."""
+    longer than one context reduces exactly to wpe_block."""
     return WpeFrames(spec, config).spectrogram()

@@ -187,7 +187,7 @@ class TestObjectiveOnRandomBlocks:
 
 class TestWpeStream:
     def test_single_block_matches_batch(self):
-        wave, _ = _reverberant_scene(t60=0.4, seconds=0.9)
+        wave, _ = _reverberant_scene(t60=0.4, seconds=3.0)
         spec = analyze(wave)
         config = WpeConfig(update_interval=1.0, context=4.0)
         streamed = wpe_stream(spec, config)
@@ -202,8 +202,12 @@ class TestWpeStream:
             unmix.dereverb, "wpe_block", wraps=unmix.dereverb.wpe_block
         ) as solve:
             streamed = wpe_stream(spec, config)
-        block = round(config.update_interval * spec.sample_rate / spec.config.hop)
-        assert solve.call_count == int(np.ceil(spec.frame_count / block))
+        # 499 frames: the first 250-frame context, then 62-frame blocks
+        # ending at 312, 374, 436 and 498, and the 1-frame tail
+        assert solve.call_count == 6
+        context = round(config.context * spec.sample_rate / spec.config.hop)
+        solved = [call.args[0].frame_count for call in solve.call_args_list]
+        assert min(solved) >= min(context, spec.frame_count)
         np.testing.assert_array_equal(wpe_stream(spec, config).data, streamed.data)
 
     def test_stream_improves_reverberant_signal(self):
@@ -375,8 +379,9 @@ def wpe_frame_requests(draw):
     """A random multichannel wave with a WpeConfig of a few frames per block,
     and in-order frame ranges of its WpeFrames.
 
-    The recording may be shorter than one block, and its last block shorter
-    than the others; every context holds at least delay + taps frames.
+    The recording may be shorter than one block or one context, and its
+    last block shorter than the others; every context holds at least
+    delay + taps frames.
     """
     taps, delay = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     block = draw(st.integers(delay + taps, 12))
@@ -395,12 +400,34 @@ def wpe_frame_requests(draw):
     return wave, config, ranges
 
 
+def _reference_wpe_stream(spec, config):
+    """WPE of a Spectrogram by the block rule, written out block by block:
+    the first context is one block; then a block per update interval, each
+    solved on the context that ends where it ends."""
+    frame_rate = spec.sample_rate / spec.config.hop
+    block = int(round(config.update_interval * frame_rate))
+    context = max(int(round(config.context * frame_rate)), block)
+    total = spec.frame_count
+    blocks = [(0, min(context, total))]
+    while blocks[-1][1] < total:
+        start = blocks[-1][1]
+        blocks.append((start, min(start + block, total)))
+    out = np.empty_like(spec.data)
+    for start, end in blocks:
+        first = max(0, end - context)
+        solved = wpe_block(Spectrogram(spec.data[:, first:end], spec.config, spec.sample_rate), config)
+        out[:, start:end] = solved.data[:, start - first :]
+    return out
+
+
 class TestWpeFrames:
     @settings(max_examples=60, deadline=None)
     @given(request=wpe_frame_requests())
     def test_ranges_match_wpe_stream(self, request):
         wave, config, ranges = request
-        expected = wpe_stream(analyze(wave, WPE_STFT), config).data
+        spec = analyze(wave, WPE_STFT)
+        expected = _reference_wpe_stream(spec, config)
+        np.testing.assert_array_equal(wpe_stream(spec, config).data, expected)
         frames = WpeFrames(StftFrames(wave, WPE_STFT), config)
         for start, end in ranges:
             np.testing.assert_array_equal(frames.frames(start, end), expected[:, start:end])
