@@ -34,7 +34,7 @@ from .metrics import (
     channel_leakage_db,
     check_nonmixing,
 )
-from .signal_io import MultichannelWave, WaveReader, WaveWriter, read_wave, write_wave
+from .signal_io import ArrayGeometry, MultichannelWave, WaveReader, WaveWriter, read_wave, write_wave
 from .simulator import make_mixture, speech_like_source
 from .stft import OverlapAdd, StftFrames
 from .stitcher import plan_windows, separate_windows
@@ -249,7 +249,15 @@ def cmd_separate(args):
             f"{geometry.channel_count}"
         )
     started = time.monotonic()
-    frames = StftFrames(reader, config.stft)
+    source = reader
+    if config.mode == "masking" and not config.dereverb:
+        # The masks weigh the reference channel alone, so only it is read and
+        # transformed, as the one microphone of the geometry; MVDR and WPE
+        # need every channel.
+        ref = geometry.reference_index
+        source = reader.channel(ref)
+        geometry = ArrayGeometry(positions=geometry.positions[[ref]], reference_index=0)
+    frames = StftFrames(source, config.stft)
     provider = _make_provider(config, frames, reader, config.plan)
     spec = WpeFrames(frames, config.wpe) if config.dereverb else frames
 

@@ -1,5 +1,6 @@
 """Multichannel audio and mask-container I/O plus canonical in-memory buffers."""
 
+import copy
 import logging
 import os
 import struct
@@ -93,6 +94,7 @@ class WaveReader:
     one blockwise pass; after that, read(lo, hi) reads just the samples it
     is asked for, so a long recording is never held whole. Shares
     channel_count, sample_rate, num_samples and read() with MultichannelWave.
+    channel(index) gives a reader of one of its channels.
     """
 
     def __init__(self, path):
@@ -104,23 +106,35 @@ class WaveReader:
             header = _read_wav_header(fh, path)
         self.path = path
         self.sample_rate, self.channel_count, self._dtype, self._offset, self.num_samples = header
+        self._file_channels, self._picked = self.channel_count, slice(None)
         if self._dtype.kind == "f":
             for lo in range(0, self.num_samples, _BLOCK_SAMPLES):
                 block = self.read(lo, min(lo + _BLOCK_SAMPLES, self.num_samples))
                 if not np.all(np.isfinite(block)):
                     raise FormatError(f"non-finite samples in WAV file {path}")
 
+    def channel(self, index):
+        """A reader of channel `index` alone: its channel_count is 1, and its
+        read() serves (1, hi - lo) arrays of that channel, picked from each
+        block before the float64 conversion. The file is not parsed or
+        checked again."""
+        index = range(self._file_channels)[index]
+        one = copy.copy(self)
+        one.channel_count, one._picked = 1, slice(index, index + 1)
+        return one
+
     def read(self, lo, hi):
         """Samples [lo, hi), 0 <= lo <= hi <= num_samples, as a (channels,
         hi - lo) float64 array normalized to [-1, 1)."""
-        frame_bytes = self.channel_count * self._dtype.itemsize
+        frame_bytes = self._file_channels * self._dtype.itemsize
         count = hi - lo
         with open(self.path, "rb") as fh:
             fh.seek(self._offset + lo * frame_bytes)
             raw = fh.read(count * frame_bytes)
         if len(raw) != count * frame_bytes:
             raise FormatError(f"WAV file {self.path} ended before its declared length")
-        data = np.frombuffer(raw, dtype=self._dtype).reshape(count, self.channel_count)
+        data = np.frombuffer(raw, dtype=self._dtype).reshape(count, self._file_channels)
+        data = data[:, self._picked]
         if self._dtype.kind == "i":
             return (data.astype(np.float64) / 32768.0).T
         return data.astype(np.float64).T

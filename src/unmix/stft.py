@@ -143,6 +143,7 @@ class StftFrames(FrameSource):
     def __init__(self, source, config=None):
         config = config or StftConfig()
         super().__init__(source, config, config.frame_count(source.num_samples))
+        self._window = config.window()
 
     def _next(self, lo, end):
         config = self.config
@@ -150,7 +151,7 @@ class StftFrames(FrameSource):
         idx = np.arange(config.window_size)[np.newaxis, :] + (
             config.hop * np.arange(end - lo)[:, np.newaxis]
         )
-        return np.fft.rfft(samples[:, idx] * config.window(), n=config.fft_size, axis=2)
+        return np.fft.rfft(samples[:, idx] * self._window, n=config.fft_size, axis=2)
 
 
 def analyze(wave, config=None):
@@ -176,6 +177,8 @@ class OverlapAdd:
     def __init__(self, config, channels, frame_count):
         self.config = config
         self._remaining = frame_count
+        self._window = config.window()
+        self._window_square = self._window**2
         overlap = config.window_size - config.hop
         self._out = np.zeros((channels, overlap))  # sums the next frame adds to
         self._norm = np.zeros(overlap)
@@ -185,7 +188,7 @@ class OverlapAdd:
         probe = min(frame_count, config.window_size // config.hop)
         norm = np.zeros((probe - 1) * config.hop + config.window_size)
         for t in range(probe):
-            norm[t * config.hop : t * config.hop + config.window_size] += config.window() ** 2
+            norm[t * config.hop : t * config.hop + config.window_size] += self._window_square
         self._floor = 1e-2 * np.max(norm)
 
     def push(self, data):
@@ -198,15 +201,19 @@ class OverlapAdd:
             raise ShapeError(f"{n} frames pushed, {self._remaining} left")
         self._remaining -= n
         segments = np.fft.irfft(data, n=config.fft_size, axis=2)[:, :, :size]
-        win = config.window()
-        overlap = self._norm.size
-        out = np.zeros((len(self._out), n * hop + overlap))
+        channels, overlap = len(self._out), self._norm.size
+        out = np.zeros((channels, n * hop + overlap))
         norm = np.zeros(n * hop + overlap)
         out[:, :overlap] = self._out
         norm[:overlap] = self._norm
-        for t in range(n):
-            out[:, t * hop : t * hop + size] += segments[:, t] * win
-            norm[t * hop : t * hop + size] += win**2
+        # Part r of frame t, its samples [r * hop, (r + 1) * hop), adds to
+        # output hop t + r. One pass per part adds it for all n frames; with
+        # r running down, every sample sums its frames in increasing t.
+        for r in reversed(range(size // hop)):
+            part = slice(r * hop, (r + 1) * hop)
+            added = slice(r * hop, (r + n) * hop)
+            out[:, added] += (segments[:, :, part] * self._window[part]).reshape(channels, -1)
+            norm[added] += np.tile(self._window_square[part], n)
         done = n * hop if self._remaining else out.shape[1]
         self._out, self._norm = out[:, done:], norm[done:]
         return out[:, :done] / np.maximum(norm[:done], self._floor)

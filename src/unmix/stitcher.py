@@ -116,18 +116,22 @@ def separate_windows(
 ):
     """Run the separation pipeline window by window.
 
-    spec: a Spectrogram or StftFrames; each window's frames are asked for
-    through spec.frames(start, end), in order. mode "masking" applies the
-    stitched masks to the reference channel; mode "beamforming"
-    additionally merges same-direction heads and runs the MVDR beamformer
-    per window, both from one window_covariances of the window (recomputed
-    only when the heads merge). Yields (emit_lo, emit_hi, frames) for each
-    window: the (2, emit_hi - emit_lo, bins) output spectra of the frames it
-    emits. The emitted ranges follow each other and cover
-    [0, spec.frame_count).
+    spec: a Spectrogram or StftFrames whose channels are the microphones of
+    geometry, in order; each window's frames are asked for through
+    spec.frames(start, end), in order. mode "masking" reads only channel
+    geometry.reference_index of them and applies the stitched masks to it,
+    so spec may hold that microphone alone, with a one-microphone geometry.
+    mode "beamforming" reads every channel: it additionally merges
+    same-direction heads and runs the MVDR beamformer per window, both from
+    one window_covariances of the window (recomputed only when the heads
+    merge). Yields (emit_lo, emit_hi, frames) for each window: the (2,
+    emit_hi - emit_lo, bins) output spectra of the frames it emits. The
+    emitted ranges follow each other and cover [0, spec.frame_count).
     """
     if mode not in ("masking", "beamforming"):
         raise ValueError(f"unknown mode {mode!r}")
+    if spec.channel_count != geometry.channel_count:
+        raise ShapeError(f"{spec.channel_count} channels, {geometry.channel_count} microphones")
     ref = geometry.reference_index
     state = StitchState()
     for c, (start, end) in enumerate(plan_windows(spec.frame_count, plan)):

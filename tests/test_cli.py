@@ -19,7 +19,7 @@ import unmix.dereverb
 from unmix.cli import EXIT_DATA, EXIT_INVARIANT, EXIT_OK, main
 from unmix.config import load_pipeline_config
 from unmix.errors import ConfigurationError, FormatError, ShapeError, UnsupportedFormatError
-from unmix.masks import MaskSet, OracleMaskProvider, oracle_masks
+from unmix.masks import FileMaskProvider, MaskSet, OracleMaskProvider, oracle_masks
 from unmix.metrics import best_permutation_eval
 from unmix.signal_io import (
     MultichannelWave,
@@ -28,7 +28,8 @@ from unmix.signal_io import (
     write_mask_file,
     write_wave,
 )
-from unmix.stft import StftConfig, StftFrames, analyze
+from unmix.stft import StftConfig, StftFrames, analyze, synthesize
+from unmix.stitcher import run_pipeline
 
 SCENE = """
 room_dim = 6.0 5.0 3.0
@@ -195,6 +196,18 @@ BAD_WAVS = {
     "data before fmt": (_riff(_data(1400), _fmt()), FormatError, "no fmt chunk"),
     "zero channels": (_riff(_fmt(channels=0), _data(1400)), FormatError, "0 channels"),
 }
+
+
+def _random_mask_file(tmp_path, rng):
+    """A mask container of random masks for the 4 windows of the default
+    plan over the 4 s scene's 249 frames."""
+    path = tmp_path / "masks.umxm"
+    sets = [
+        MaskSet(speech=rng.uniform(0, 1, (2, 150, 257)), noise=rng.uniform(0, 1, (150, 257)))
+        for _ in range(4)
+    ]
+    write_mask_file(path, sets, hop_frames=38)
+    return path
 
 
 def _truth_with(tmp_path, scene, edit):
@@ -391,6 +404,61 @@ class TestSeparate:
         scipy.io.wavfile.write(path, 16000, mixture.T.copy())
         argv = ["separate", str(path), str(tmp_path / "sep")]
         _assert_data_error(capsys, argv + ["--truth-dir", str(shared_scene)])
+
+    def test_masking_from_file_checks_every_channel(self, tmp_path, capsys, rng, shared_scene):
+        # masking without dereverb transforms the reference channel alone; the
+        # input's channel count and every channel's samples are still checked
+        masks = _random_mask_file(tmp_path, rng)
+        mixture = read_wave(shared_scene / "mixture.wav").samples.astype(np.float32)
+        mixture[3, 1000] = np.nan
+        scipy.io.wavfile.write(tmp_path / "nan.wav", 16000, mixture.T.copy())
+        mixture[3, 1000] = 0.0
+        scipy.io.wavfile.write(tmp_path / "six.wav", 16000, mixture[:6].T.copy())
+        for name in ("nan.wav", "six.wav"):
+            argv = ["separate", str(tmp_path / name), str(tmp_path / "sep")]
+            _assert_data_error(capsys, argv + ["--set", f"mask_provider=file:{masks}"])
+
+    def test_masking_with_another_reference_equals_whole_input_pipeline(
+        self, tmp_path, rng, shared_scene
+    ):
+        masks = _random_mask_file(tmp_path, rng)
+        settings = {"reference_index": "3", "mask_provider": f"file:{masks}"}
+        argv = ["separate", str(shared_scene / "mixture.wav"), str(tmp_path / "sep")]
+        for key, value in settings.items():
+            argv += ["--set", f"{key}={value}"]
+        assert main(argv) == EXIT_OK
+
+        config = load_pipeline_config(None, settings)
+        wave = read_wave(shared_scene / "mixture.wav")
+        streams = run_pipeline(
+            analyze(wave, config.stft), FileMaskProvider(masks), config.plan, "masking",
+            config.geometry(),
+        )
+        for i, stream in enumerate(streams):
+            samples = np.zeros((1, wave.num_samples))
+            whole = synthesize(stream).samples
+            samples[:, : whole.shape[1]] = whole
+            expected = tmp_path / f"expected{i}.wav"
+            write_wave(MultichannelWave(samples, wave.sample_rate), expected, dtype="float32")
+            assert (tmp_path / "sep" / f"out{i}.wav").read_bytes() == expected.read_bytes()
+
+    def test_masking_with_dereverb_gives_wpe_every_channel(
+        self, tmp_path, shared_scene, monkeypatch
+    ):
+        channel_counts = []
+        wpe_block = unmix.dereverb.wpe_block
+
+        def counting(spec, *args, **kwargs):
+            channel_counts.append(spec.channel_count)
+            return wpe_block(spec, *args, **kwargs)
+
+        monkeypatch.setattr(unmix.dereverb, "wpe_block", counting)
+        argv = ["separate", str(shared_scene / "mixture.wav"), str(tmp_path / "sep")]
+        argv += ["--truth-dir", str(shared_scene), "--set", "dereverb=true"]
+        for setting in ("wpe_iterations=1", "wpe_context=1", "wpe_taps=2"):
+            argv += ["--set", setting]
+        assert main(argv) == EXIT_OK
+        assert channel_counts and set(channel_counts) == {7}
 
     def test_recording_shorter_than_window_is_data_error(self, tmp_path, capsys, shared_scene):
         # the 4 s scene has 249 frames

@@ -210,6 +210,13 @@ def test_wave_reader_blocks_equal_whole_read(tmp_path, rng, dtype):
     np.testing.assert_array_equal(whole, expected)
     blocks = [reader.read(lo, hi) for lo, hi in ((0, 1000), (1000, 1001), (1001, 3000))]
     np.testing.assert_array_equal(np.concatenate(blocks, axis=1), whole)
+    for index in (0, 2, -1):
+        one = reader.channel(index)
+        assert (one.channel_count, one.num_samples, one.sample_rate) == (1, 3000, 8000)
+        np.testing.assert_array_equal(one.read(1000, 3000), whole[[index], 1000:])
+    assert reader.read(0, 3000).shape == (3, 3000)  # the reader itself still reads all
+    with pytest.raises(IndexError):
+        reader.channel(3)
 
 
 def test_zero_wave_writes_zeros(tmp_path):
