@@ -12,25 +12,35 @@ DIAGONAL_LOADING = 1e-6
 EMPTY_TARGET_TOL = 1e-12
 
 
+_BAND_BINS = 16  # bins whose covariances sig_cov computes together
+
+
 def sig_cov(window_data, masks):
     """Spatial covariances of the masked signal, one per mask.
 
     window_data: (J, frames, bins) complex; masks: (..., frames, bins) in
     [0, 1], e.g. a stack of H heads. Returns (..., bins, J, J). Per head and
     frequency: Phi_f = sum_t (m x)(m x)^H / max(sum_t m^2, eps), i.e. the mask
-    is applied to the signal before the outer product. It is computed as one
-    batched matmul (m^2 x) @ x^H, whose conjugated side is shared by the
-    whole stack. An empty mask yields zero matrices.
+    is applied to the signal before the outer product. Per band of
+    _BAND_BINS bins it is one batched matmul (m^2 x) @ x^H, whose conjugated
+    side is shared by the whole stack; the bands bound the (..., bins, J,
+    frames) temporary without changing the output. An empty mask yields zero
+    matrices.
     """
     masks = np.asarray(masks, dtype=np.float64)
     if masks.shape[-2:] != window_data.shape[1:]:
         raise ShapeError("masks must align with window frames x bins")
-    x = np.ascontiguousarray(np.transpose(window_data, (2, 0, 1)))  # (F, J, T)
+    j, _, bins = window_data.shape
     power = masks**2
     weight = np.swapaxes(power, -1, -2)[..., np.newaxis, :]  # (..., F, 1, T)
-    num = (weight * x) @ np.swapaxes(np.conj(x), -1, -2)  # (..., F, J, J)
-    denom = np.maximum(np.sum(power, axis=-2), EPS)  # (..., F)
-    return num / denom[..., np.newaxis, np.newaxis]
+    denom = np.maximum(np.sum(power, axis=-2), EPS)[..., np.newaxis, np.newaxis]  # (..., F, 1, 1)
+    out = np.empty(masks.shape[:-2] + (bins, j, j), dtype=np.complex128)
+    for lo in range(0, bins, _BAND_BINS):
+        band = slice(lo, lo + _BAND_BINS)
+        x = np.ascontiguousarray(np.transpose(window_data[:, :, band], (2, 0, 1)))  # (Fb, J, T)
+        num = (weight[..., band, :, :] * x) @ np.swapaxes(np.conj(x), -1, -2)  # (..., Fb, J, J)
+        out[..., band, :, :] = num / denom[..., band, :, :]
+    return out
 
 
 @dataclass
@@ -46,11 +56,6 @@ class WindowCovariances:
     psi: np.ndarray
     values: np.ndarray
     vectors: np.ndarray
-
-    def permuted(self, permutation):
-        """Return the statistics with the speech heads reordered."""
-        p = list(permutation)
-        return WindowCovariances(self.phi[p], self.psi[p], self.values[p], self.vectors[p])
 
 
 def window_covariances(window_data, mask_set, interference_mode="ssn"):
@@ -148,20 +153,22 @@ def gain_adjust(beamformed, mask, ref_mag):
     return beamformed * np.minimum(1.0, cap)
 
 
-def beamform_window(window_data, mask_set, reference_index, covariances):
+def beamform_window(window_data, mask_set, reference_index, covariances, frames=slice(None)):
     """Beamform one window into two output channels.
 
     window_data: (J, frames, bins) complex slice of the mixture;
-    covariances: the window_covariances of mask_set over it.
-    Returns (2, frames, bins) complex.
+    covariances: the window_covariances of mask_set over it. The weights
+    come from the whole window and are applied to its `frames`, a slice.
+    Returns (2, the selected frames, bins) complex.
     """
     phi, psi = covariances.phi, covariances.psi
     values, vectors = covariances.values, covariances.vectors
-    ref_mag = np.abs(window_data[reference_index])
-    out = np.empty((2,) + window_data.shape[1:], dtype=np.complex128)
+    data = window_data[:, frames]
+    ref_mag = np.abs(data[reference_index])
+    out = np.empty((2,) + data.shape[1:], dtype=np.complex128)
     for i in range(2):
         target = principal_component(phi[i], (values[i], vectors[i]))
         w = mvdr_weights(target, psi[i], reference_index)
-        y = apply_weights(w, window_data)
-        out[i] = gain_adjust(y, mask_set.speech[i], ref_mag)
+        y = apply_weights(w, data)
+        out[i] = gain_adjust(y, mask_set.speech[i][frames], ref_mag)
     return out

@@ -1,15 +1,12 @@
 """STFT-domain multichannel linear-prediction dereverberation (weighted
 prediction error), applied ahead of separation."""
 
-import ctypes
-import functools
-import os
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .errors import ConfigurationError, InsufficientInputError
 from .stft import FrameSource, Spectrogram
 
@@ -86,52 +83,6 @@ def _wpe_filters(data, stacked, estimate, config, out=None):
 _CHUNK_BINS = 4  # bins whose iterations one worker of wpe_block runs together
 
 
-@functools.cache
-def _blas_thread_calls():
-    """(get, set) of the loaded OpenBLAS's thread count, or None if the
-    library exports neither naming of them."""
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath
-    try:  # numpy's OpenBLAS is a dependency of this extension: its handle finds the symbols
-        library = ctypes.CDLL(_multiarray_umath.__file__)
-    except OSError:
-        return None
-    for get, set_ in (
-        ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-        ("openblas_get_num_threads", "openblas_set_num_threads"),
-    ):
-        if hasattr(library, get) and hasattr(library, set_):
-            return getattr(library, get), getattr(library, set_)
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS to one thread, then restore its count; yields whether
-    it could."""
-    calls = _blas_thread_calls()
-    if calls is None:
-        yield False
-        return
-    get, set_ = calls
-    before = get()
-    set_(1)
-    try:
-        yield True
-    finally:
-        set_(before)
-
-
-def _worker_count():
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on Linux
-        return os.cpu_count() or 1
-
-
 def _run_all(work, items, workspaces):
     """work(item, workspace) for every item, on the calling thread with
     workspaces[0] and on one helper thread per further workspace; the threads
@@ -167,10 +118,10 @@ def _run_all(work, items, workspaces):
 def _wpe_bins(data, config, residuals, workspace):
     """The iterations of wpe_block on the (F, J, T) data of some bins.
 
-    Returns (estimate (F, J, T), last filters (F, JK, J)). When residuals is
-    an (iterations, 2) array, each iteration adds the (pre, post) objective
-    of these bins to its row. workspace is a (2, >= F, JK, T) array that
-    holds the two largest temporaries.
+    Returns the estimate (F, J, T). When residuals is an (iterations, 2)
+    array, each iteration adds the (pre, post) objective of these bins to
+    its row. workspace is a (2, >= F, JK, T) array that holds the two
+    largest temporaries.
     """
     stacked = _delayed_stack(data, config.taps, config.delay, workspace[0])
     estimate = data
@@ -189,10 +140,10 @@ def _wpe_bins(data, config, residuals, workspace):
             post = np.sum(np.abs(estimate) ** 2 / lam[:, np.newaxis])
             residuals[i] += pre, post + np.sum(weight * np.abs(filters) ** 2)
         prev_filters = filters
-    return estimate, filters
+    return estimate
 
 
-def wpe_block(spec, config=None, collect_residuals=None, collect_filters=None):
+def wpe_block(spec, config=None, collect_residuals=None):
     """Dereverberate one block with the iterative WPE algorithm.
 
     Per frequency, each iteration estimates the per-frame variance from the
@@ -210,8 +161,7 @@ def wpe_block(spec, config=None, collect_residuals=None, collect_filters=None):
     objective sum(|d|^2 / lambda) + load * ||G||^2 are appended per iteration.
     The filter solve minimizes exactly this ridge objective under the current
     variances, so within an iteration the post value never exceeds the pre
-    value. When `collect_filters` is a list, the block's final (F, JK, J)
-    filters are appended.
+    value.
     """
     config = config or WpeConfig()
     if spec.frame_count < config.delay + config.taps:
@@ -220,18 +170,18 @@ def wpe_block(spec, config=None, collect_residuals=None, collect_filters=None):
         )
     out = np.empty_like(spec.data)
     bands = range(0, spec.bins, _CHUNK_BINS)
-    filters, residuals = [None] * len(bands), [None] * len(bands)
+    residuals = [None] * len(bands)
 
     def run_band(index, workspace):
         chunk = slice(bands[index], bands[index] + _CHUNK_BINS)
         data = np.ascontiguousarray(np.transpose(spec.data[:, :, chunk], (2, 0, 1)))
         if collect_residuals is not None:
             residuals[index] = np.zeros((config.iterations, 2))
-        estimate, filters[index] = _wpe_bins(data, config, residuals[index], workspace)
+        estimate = _wpe_bins(data, config, residuals[index], workspace)
         out[:, :, chunk] = np.transpose(estimate, (1, 2, 0))
 
-    with _one_blas_thread() as pinned:
-        workers = min(_worker_count(), len(bands)) if pinned else 1
+    with parallel.one_blas_thread() as pinned:
+        workers = min(parallel.worker_count(), len(bands)) if pinned else 1
         # Allocated here, where freed memory is at hand: glibc serves each
         # helper thread from a heap of its own, which would add its
         # temporaries to the peak.
@@ -243,8 +193,6 @@ def wpe_block(spec, config=None, collect_residuals=None, collect_filters=None):
         _run_all(run_band, range(len(bands)), workspaces)
     if collect_residuals is not None:
         collect_residuals.extend((float(pre), float(post)) for pre, post in sum(residuals))
-    if collect_filters is not None:
-        collect_filters.append(np.concatenate(filters))
     return Spectrogram(data=out, config=spec.config, sample_rate=spec.sample_rate)
 
 

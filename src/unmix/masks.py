@@ -76,7 +76,7 @@ def steering_vectors(geometry, frequencies, azimuths_deg):
         * np.asarray(frequencies)[np.newaxis, :, np.newaxis]
         * proj[:, np.newaxis, :]
     )
-    return np.exp(phase)
+    return np.exp(phase, out=phase)
 
 
 _doa_grid_cache = {}  # holds only the latest (positions, band, grid) entry
@@ -88,19 +88,23 @@ def _doa_grid(geometry, freqs, grid_deg):
     against.
 
     Every window of a run asks for the same geometry, band and grid, so the
-    latest grid is kept and rebuilt only when one of them changes.
+    latest grid is kept and rebuilt only when one of them changes. Windows
+    on other threads may build it at the same time: each returns the grid
+    it found or built.
     """
     key = (geometry.positions.tobytes(), freqs.tobytes(), grid_deg)
-    if key not in _doa_grid_cache:
+    grid = _doa_grid_cache.get(key)
+    if grid is None:
         azimuths = np.arange(0.0, 360.0, grid_deg)
         steer = steering_vectors(geometry, freqs, azimuths)
-        steer_conj = np.ascontiguousarray(
-            np.conj(np.swapaxes(steer, 0, 1) / np.sqrt(steer.shape[2]))
-        )
+        steer /= np.sqrt(steer.shape[2])  # in place: the layout change below copies
+        np.conj(steer, out=steer)
+        steer_conj = np.ascontiguousarray(np.swapaxes(steer, 0, 1))
         steer_conj.flags.writeable = False
+        grid = (azimuths, steer_conj)
         _doa_grid_cache.clear()
-        _doa_grid_cache[key] = (azimuths, steer_conj)
-    return _doa_grid_cache[key]
+        _doa_grid_cache[key] = grid
+    return grid
 
 
 def doa_from_eigenvectors(vectors, freqs, geometry, grid_deg=1.0, f_min=300.0, f_max=4000.0):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import unmix.cli
 import unmix.dereverb
+import unmix.parallel
 from unmix.cli import EXIT_DATA, EXIT_INVARIANT, EXIT_OK, main
 from unmix.config import load_pipeline_config
 from unmix.errors import ConfigurationError, FormatError, ShapeError, UnsupportedFormatError
@@ -539,9 +540,22 @@ class TestSeparate:
             assert main(argv) == EXIT_OK
             return [(outdir / f"out{i}.wav").read_bytes() for i in (0, 1)]
 
-        with mock.patch.object(unmix.dereverb, "_worker_count", return_value=1):
+        with mock.patch.object(unmix.parallel, "worker_count", return_value=1):
             one = separate("one")
         assert separate("all") == one
+
+    def test_beamforming_output_does_not_depend_on_worker_count(self, tmp_path, shared_scene):
+        def separate(name, workers):
+            outdir = tmp_path / name
+            argv = ["separate", str(shared_scene / "mixture.wav"), str(outdir)]
+            argv += ["--truth-dir", str(shared_scene), "--set", "mode=beamforming"]
+            with mock.patch.object(unmix.parallel, "worker_count", return_value=workers):
+                assert main(argv) == EXIT_OK
+            return [(outdir / f"out{i}.wav").read_bytes() for i in (0, 1)]
+
+        one = separate("one", 1)
+        assert separate("all", unmix.parallel.worker_count()) == one
+        assert separate("more_than_cpus", 3) == one
 
     def test_failed_run_leaves_no_partial_output(self, tmp_path, shared_scene, monkeypatch):
         outdir = tmp_path / "sep"

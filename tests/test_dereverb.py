@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unmix.dereverb
+import unmix.parallel
 from unmix.dereverb import (
     WpeConfig,
     WpeFrames,
@@ -240,16 +241,14 @@ class TestChunkedBins:
         width = data.draw(st.integers(1, spec.bins), label="width")
 
         def run(chunk_bins):
-            residuals, filters = [], []
+            residuals = []
             with mock.patch.object(unmix.dereverb, "_CHUNK_BINS", chunk_bins):
-                out = wpe_block(spec, config, residuals, filters)
-            return out.data, filters, residuals
+                out = wpe_block(spec, config, residuals)
+            return out.data, residuals
 
-        out, filters, residuals = run(width)
-        whole_out, whole_filters, whole_residuals = run(spec.bins)
+        out, residuals = run(width)
+        whole_out, whole_residuals = run(spec.bins)
         np.testing.assert_array_equal(out, whole_out)
-        assert len(filters) == len(whole_filters) == 1
-        np.testing.assert_array_equal(filters[0], whole_filters[0])
         np.testing.assert_allclose(residuals, whole_residuals, rtol=1e-12)
 
 
@@ -263,7 +262,7 @@ def _fixed_block(bins):
 
 def _blas_threads():
     """The loaded OpenBLAS's thread count; skips the test where none is found."""
-    calls = unmix.dereverb._blas_thread_calls()
+    calls = unmix.parallel.blas_thread_calls()
     if calls is None:
         pytest.skip("no OpenBLAS thread setting found")
     return calls[0]()
@@ -281,16 +280,14 @@ class TestBandsOnThreads:
         spec = _as_spectrogram(block_data)
 
         def run(workers):
-            residuals, filters = [], []
-            with mock.patch.object(unmix.dereverb, "_worker_count", return_value=workers):
-                out = wpe_block(spec, config, residuals, filters)
-            return out.data, filters, residuals
+            residuals = []
+            with mock.patch.object(unmix.parallel, "worker_count", return_value=workers):
+                out = wpe_block(spec, config, residuals)
+            return out.data, residuals
 
-        out, filters, residuals = run(1)
-        out3, filters3, residuals3 = run(3)
+        out, residuals = run(1)
+        out3, residuals3 = run(3)
         np.testing.assert_array_equal(out, out3)
-        assert len(filters) == len(filters3) == 1
-        np.testing.assert_array_equal(filters[0], filters3[0])
         assert residuals == residuals3
 
     def test_bands_run_with_one_blas_thread_and_restore_the_count(self, monkeypatch):
@@ -299,11 +296,11 @@ class TestBandsOnThreads:
         during = []
 
         def recording(*args):
-            during.append(unmix.dereverb._blas_thread_calls()[0]())
+            during.append(unmix.parallel.blas_thread_calls()[0]())
             return wpe_bins(*args)
 
         monkeypatch.setattr(unmix.dereverb, "_wpe_bins", recording)
-        monkeypatch.setattr(unmix.dereverb, "_worker_count", lambda: 3)
+        monkeypatch.setattr(unmix.parallel, "worker_count", lambda: 3)
         data, config = _fixed_block(bins=10)
         wpe_block(_as_spectrogram(data), config)
         bands = len(range(0, 10, unmix.dereverb._CHUNK_BINS))
@@ -324,7 +321,7 @@ class TestBandsOnThreads:
             return wpe_bins(*args)
 
         monkeypatch.setattr(unmix.dereverb, "_wpe_bins", failing_on)
-        monkeypatch.setattr(unmix.dereverb, "_worker_count", lambda: 3)
+        monkeypatch.setattr(unmix.parallel, "worker_count", lambda: 3)
         data, config = _fixed_block(bins=24)
         with pytest.raises(RuntimeError, match=failing):
             wpe_block(_as_spectrogram(data), config)
@@ -335,7 +332,7 @@ class TestBandsOnThreads:
         _blas_threads()
         data, config = _fixed_block(bins=24)
         spec = _as_spectrogram(data)
-        monkeypatch.setattr(unmix.dereverb, "_worker_count", lambda: 1)
+        monkeypatch.setattr(unmix.parallel, "worker_count", lambda: 1)
         in_order = []
         wpe_block(spec, config, collect_residuals=in_order)
         wpe_bins = unmix.dereverb._wpe_bins
@@ -346,7 +343,7 @@ class TestBandsOnThreads:
             return wpe_bins(band, *args)
 
         monkeypatch.setattr(unmix.dereverb, "_wpe_bins", first_band_last)
-        monkeypatch.setattr(unmix.dereverb, "_worker_count", lambda: 3)
+        monkeypatch.setattr(unmix.parallel, "worker_count", lambda: 3)
         residuals = []
         wpe_block(spec, config, collect_residuals=residuals)
         assert residuals == in_order
@@ -363,8 +360,8 @@ class TestBandsOnThreads:
             return wpe_bins(*args)
 
         monkeypatch.setattr(unmix.dereverb, "_wpe_bins", recording)
-        monkeypatch.setattr(unmix.dereverb, "_blas_thread_calls", lambda: None)
-        monkeypatch.setattr(unmix.dereverb, "_worker_count", lambda: 3)
+        monkeypatch.setattr(unmix.parallel, "blas_thread_calls", lambda: None)
+        monkeypatch.setattr(unmix.parallel, "worker_count", lambda: 3)
         out = wpe_block(spec, config)
         bands = len(range(0, 10, unmix.dereverb._CHUNK_BINS))
         assert threads == [threading.main_thread()] * bands

@@ -1,8 +1,15 @@
+import sys
+import threading
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import unmix.parallel
+import unmix.stitcher
 from unmix import beamformer
 from unmix.beamformer import beamform_window, window_covariances
 from unmix.errors import InsufficientInputError, ShapeError
@@ -23,6 +30,7 @@ from unmix.stitcher import (
     alignment_cost,
     plan_windows,
     run_pipeline,
+    separate_windows,
 )
 
 from conftest import plane_wave_spectrogram
@@ -397,3 +405,135 @@ class TestBeamformingStatistics:
         order = (1, 0) if swapping.swaps[0] else (0, 1)
         for i in range(2):
             np.testing.assert_array_equal(swapped[i].data, plain[order[i]].data)
+
+
+def _helper_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("unmix-window")]
+
+
+class TestBeamformingPipeline:
+    """Beamforming windows run on helper threads and the calling thread, and
+    are stitched and yielded in window order."""
+
+    plan = WindowPlan(150, 38)
+
+    @pytest.fixture
+    def scene(self, geometry):
+        mixture, refs = _activity_spectrogram(
+            None, StftConfig(), 420, [[(0, 260)], [(150, 420)]], geometry
+        )
+        return mixture, refs, geometry
+
+    def _windows(self, scene, workers, provider=None):
+        mixture, refs, geometry = scene
+        provider = provider or _oracle_provider(mixture, refs)
+        with mock.patch.object(unmix.parallel, "worker_count", return_value=workers):
+            return list(
+                separate_windows(mixture, provider, self.plan, "beamforming", geometry)
+            )
+
+    def test_random_delays_keep_window_order_and_output(self, scene, monkeypatch):
+        mixture, refs, _ = scene
+        serial = self._windows(scene, 1)
+        rng = np.random.default_rng(7)
+        delays = rng.uniform(0.0, [[0.005], [0.08]], (2, 40))  # reading, then the window
+        provider = _oracle_provider(mixture, refs)
+
+        class SleepingProvider:
+            def mask_for_window(self, c, s, e):
+                time.sleep(delays[0, c])
+                return provider.mask_for_window(c, s, e)
+
+        calls = []
+        normalize = unmix.stitcher.normalize_masks
+
+        def sleeping_normalize(mset):  # helpers finish out of order, the calling thread early
+            calls.append(threading.current_thread().name)
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(delays[1, len(calls) % 40])
+            return normalize(mset)
+
+        monkeypatch.setattr(unmix.stitcher, "normalize_masks", sleeping_normalize)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = self._windows(scene, 4, SleepingProvider())
+        finally:
+            sys.setswitchinterval(interval)
+        windows = plan_windows(mixture.frame_count, self.plan)
+        assert len(calls) == len(windows) and any(n.startswith("unmix-window") for n in calls)
+        ranges = [(lo, hi) for lo, hi, _ in threaded]
+        assert ranges == [(lo, hi) for lo, hi, _ in serial]
+        assert ranges[0][0] == 0 and ranges[-1][1] == mixture.frame_count
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        for (lo, hi, frames), (_, _, expected) in zip(threaded, serial):
+            assert frames.shape == (2, hi - lo, mixture.bins)
+            np.testing.assert_array_equal(frames, expected)
+
+    def test_error_in_a_helper_window_reaches_the_caller(self, scene, monkeypatch):
+        threads = threading.active_count()
+        mixture, refs, _ = scene
+        provider = _oracle_provider(mixture, refs)
+
+        class SlowProvider:  # leaves the windows to the helpers
+            def mask_for_window(self, c, s, e):
+                time.sleep(0.02)
+                return provider.mask_for_window(c, s, e)
+
+        beamform = unmix.stitcher.beamform_window
+
+        def failing_on_helpers(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("window failed on a helper")
+            return beamform(*args)
+
+        monkeypatch.setattr(unmix.stitcher, "beamform_window", failing_on_helpers)
+        with pytest.raises(RuntimeError, match="on a helper"):
+            self._windows(scene, 3, SlowProvider())
+        assert threading.active_count() == threads
+
+    def test_closing_early_stops_every_helper(self, scene):
+        threads = threading.active_count()
+        mixture, refs, geometry = scene
+        calls = unmix.parallel.blas_thread_calls()
+        before = calls[0]() if calls else None
+        with mock.patch.object(unmix.parallel, "worker_count", return_value=3):
+            windows = separate_windows(
+                mixture, _oracle_provider(mixture, refs), self.plan, "beamforming", geometry
+            )
+            next(windows)
+            assert _helper_threads()
+            windows.close()
+        assert not _helper_threads()
+        assert threading.active_count() == threads
+        if calls:
+            assert calls[0]() == before
+
+    def test_overlapping_blas_pins_restore_the_count_when_the_last_ends(self):
+        calls = unmix.parallel.blas_thread_calls()
+        if calls is None:
+            pytest.skip("no OpenBLAS thread setting found")
+        get, set_ = calls
+        before = get()
+        set_(2)
+        try:
+            inner_entered, outer_left = threading.Event(), threading.Event()
+            seen = []
+
+            def inner():
+                with unmix.parallel.one_blas_thread():
+                    inner_entered.set()
+                    assert outer_left.wait(10)
+                    seen.append(get())  # the pin outlives the one that set it
+                seen.append(get())
+
+            with unmix.parallel.one_blas_thread():
+                thread = threading.Thread(target=inner)
+                thread.start()
+                assert inner_entered.wait(10)
+            outer_left.set()
+            thread.join(10)
+            assert not thread.is_alive()
+            assert seen == [1, 2]
+        finally:
+            set_(before)
