@@ -1,7 +1,8 @@
 """STFT-domain multichannel linear-prediction dereverberation (weighted
 prediction error), applied ahead of separation."""
 
-import threading
+import functools
+import queue
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,38 +84,6 @@ def _wpe_filters(data, stacked, estimate, config, out=None):
 _CHUNK_BINS = 4  # bins whose iterations one worker of wpe_block runs together
 
 
-def _run_all(work, items, workspaces):
-    """work(item, workspace) for every item, on the calling thread with
-    workspaces[0] and on one helper thread per further workspace; the threads
-    pull the items from one iterator. Once every thread has stopped, the
-    first error is raised; after an error the threads take no more items."""
-    items = iter(items)
-    lock = threading.Lock()
-    errors = []
-
-    def drain(workspace):
-        while not errors:
-            with lock:
-                item = next(items, None)
-            if item is None:
-                return
-            try:
-                work(item, workspace)
-            except BaseException as exc:
-                errors.append(exc)
-
-    helpers = [threading.Thread(target=drain, args=(w,)) for w in workspaces[1:]]
-    for helper in helpers:
-        helper.start()
-    try:
-        drain(workspaces[0])
-    finally:
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
-
-
 def _wpe_bins(data, config, residuals, workspace):
     """The iterations of wpe_block on the (F, J, T) data of some bins.
 
@@ -151,11 +120,11 @@ def wpe_block(spec, config=None, collect_residuals=None):
     multichannel prediction filters over delayed frames, and subtracts the
     prediction. Output has the same shape as the input (MIMO). Every
     quantity is per bin, so the iterations run on bands of _CHUNK_BINS bins,
-    which bounds the temporaries without changing the output. The bands run
-    on every CPU the process may use, with OpenBLAS held to one thread
-    meanwhile; each band is solved on one thread, so the output does not
-    depend on the number of CPUs. Where no OpenBLAS thread setting is found,
-    the bands run one after another on the calling thread.
+    which bounds the temporaries without changing the output. The bands are
+    jobs of parallel.ordered, all queued at once, so they run on every CPU
+    the process may use; each band is solved on one thread, so the output
+    does not depend on the number of CPUs. Their residuals are summed in
+    band order.
 
     When `collect_residuals` is a list, (pre, post) values of the regularized
     objective sum(|d|^2 / lambda) + load * ||G||^2 are appended per iteration.
@@ -169,30 +138,30 @@ def wpe_block(spec, config=None, collect_residuals=None):
             f"block of {spec.frame_count} frames is shorter than delay + taps"
         )
     out = np.empty_like(spec.data)
+    # Allocated here, where freed memory is at hand: glibc serves each helper
+    # thread from a heap of its own, which would add its temporaries to the peak.
+    workspaces = queue.SimpleQueue()
     bands = range(0, spec.bins, _CHUNK_BINS)
-    residuals = [None] * len(bands)
+    shape = (2, min(_CHUNK_BINS, spec.bins), spec.channel_count * config.taps, spec.frame_count)
+    for _ in range(min(parallel.worker_count(), len(bands))):
+        workspaces.put(np.empty(shape, spec.data.dtype))
 
-    def run_band(index, workspace):
-        chunk = slice(bands[index], bands[index] + _CHUNK_BINS)
+    def run_band(lo):
+        chunk = slice(lo, lo + _CHUNK_BINS)
         data = np.ascontiguousarray(np.transpose(spec.data[:, :, chunk], (2, 0, 1)))
-        if collect_residuals is not None:
-            residuals[index] = np.zeros((config.iterations, 2))
-        estimate = _wpe_bins(data, config, residuals[index], workspace)
+        residuals = None if collect_residuals is None else np.zeros((config.iterations, 2))
+        workspace = workspaces.get()
+        try:
+            estimate = _wpe_bins(data, config, residuals, workspace)
+        finally:
+            workspaces.put(workspace)
         out[:, :, chunk] = np.transpose(estimate, (1, 2, 0))
+        return residuals
 
-    with parallel.one_blas_thread() as pinned:
-        workers = min(parallel.worker_count(), len(bands)) if pinned else 1
-        # Allocated here, where freed memory is at hand: glibc serves each
-        # helper thread from a heap of its own, which would add its
-        # temporaries to the peak.
-        jk = spec.channel_count * config.taps
-        workspaces = [
-            np.empty((2, min(_CHUNK_BINS, spec.bins), jk, spec.frame_count), spec.data.dtype)
-            for _ in range(workers)
-        ]
-        _run_all(run_band, range(len(bands)), workspaces)
+    jobs = (functools.partial(run_band, lo) for lo in bands)
+    residuals = sum(r for r in parallel.ordered(jobs, ahead=len(bands)) if r is not None)
     if collect_residuals is not None:
-        collect_residuals.extend((float(pre), float(post)) for pre, post in sum(residuals))
+        collect_residuals.extend((float(pre), float(post)) for pre, post in residuals)
     return Spectrogram(data=out, config=spec.config, sample_rate=spec.sample_rate)
 
 

@@ -1,11 +1,15 @@
-"""What helper threads of numpy work share: the CPU count that sizes them and
-the OpenBLAS thread pin they run under."""
+"""How jobs of numpy work are spread over the CPUs: `ordered`, and the CPU
+count and the OpenBLAS thread pin it runs them under."""
 
 import ctypes
 import functools
 import os
+import queue
 import threading
+from collections import deque
+from concurrent.futures import Future
 from contextlib import contextmanager
+from itertools import islice
 
 
 @functools.cache
@@ -69,3 +73,83 @@ def worker_count():
     except AttributeError:  # not on Linux
         return os.cpu_count() or 1
 
+
+def ordered(jobs, ahead=None):
+    """Yield the results of the zero-argument callables `jobs`, in order.
+
+    The calling thread takes job n once the results before job n - `ahead`
+    are yielded; `ahead` is by default one per thread that runs jobs. Jobs
+    run on one helper thread per further CPU and on the calling thread, with
+    OpenBLAS held to one thread (one_blas_thread); while the oldest job is
+    unfinished, the calling thread runs the first one no helper has started.
+    The first job runs alone on the calling thread, so what it builds once
+    per run comes from this thread's heap (glibc gives each helper a heap of
+    its own, which keeps what it frees). Where no OpenBLAS thread setting is
+    found, every job runs on the calling thread.
+
+    An error in a job is raised when its result is due, in job order. No job
+    is kept once it has run, so what only it holds is freed before its
+    result is yielded. Closing the generator drops the jobs not yet started
+    and waits for the helpers to stop.
+    """
+    jobs = iter(jobs)
+    unstarted = queue.SimpleQueue()  # (job, future) pairs no thread has begun
+    pending = deque()  # the futures of the jobs taken and not yet yielded, oldest first
+    helpers = []
+
+    def serve():
+        while _run_next(unstarted, block=True):
+            pass
+
+    with one_blas_thread() as pinned:
+        spare = worker_count() - 1 if pinned else 0
+        ahead = ahead or spare + 1
+        try:
+            _take(jobs, 1, pending, unstarted)
+            while pending:
+                while not pending[0].done() and _run_next(unstarted, block=False):
+                    pass
+                result = pending.popleft().result()
+                _take(jobs, ahead - len(pending), pending, unstarted)
+                while len(helpers) < min(spare, len(pending)):
+                    helper = threading.Thread(target=serve, name="unmix-worker")
+                    helper.start()
+                    helpers.append(helper)
+                yield result
+        finally:
+            try:  # drop the jobs not yet started
+                while True:
+                    unstarted.get_nowait()
+            except queue.Empty:
+                pass
+            for _ in helpers:
+                unstarted.put((None, None))
+            for helper in helpers:
+                helper.join()
+
+
+def _take(jobs, n, pending, unstarted):
+    """Take up to n more jobs, each with the future of its result. A function
+    of its own, so that no local of ordered keeps the last job taken."""
+    for job in islice(jobs, n):
+        pending.append(Future())
+        unstarted.put((job, pending[-1]))
+
+
+def _run_next(unstarted, block):
+    """Run the first job no thread has begun and settle its future; False
+    if there is none, or if a helper is told to stop."""
+    try:
+        job, future = unstarted.get(block)
+    except queue.Empty:
+        return False
+    if job is None:
+        return False
+    try:
+        result = job()
+    except Exception as exc:  # raised from the future when its result is due
+        future.set_exception(exc)
+    else:
+        del job  # so what only the job holds is freed before its result is yielded
+        future.set_result(result)
+    return True

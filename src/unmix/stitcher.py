@@ -2,11 +2,8 @@
 alignment, and the end-to-end masking/beamforming pipeline."""
 
 import functools
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import closing
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -134,114 +131,62 @@ def separate_windows(
     frames) for each window: the (2, emit_hi - emit_lo, bins) output spectra
     of the frames it emits. The emitted ranges follow each other and cover
     [0, spec.frame_count); only emitted frames are masked or weighted.
+
+    The calling thread reads each window's masks and frames, in order, into
+    a job that returns the window's masks, reference magnitude and output in
+    the provider's head order (the permutation only reorders the outputs),
+    then aligns and yields the windows in order. Beamforming jobs run on
+    every CPU through parallel.ordered. Masking jobs, each a small product,
+    run on the calling thread: each helper's own heap would add to the peak.
     """
     if mode not in ("masking", "beamforming"):
         raise ValueError(f"unknown mode {mode!r}")
     if spec.channel_count != geometry.channel_count:
         raise ShapeError(f"{spec.channel_count} channels, {geometry.channel_count} microphones")
     windows = plan_windows(spec.frame_count, plan)
-    if mode == "beamforming":
-        yield from _beamforming_windows(
-            spec, provider, windows, geometry, merge_threshold_deg, interference_mode
+
+    def jobs(job):
+        emit_lo = 0  # the first window emits all its frames, later ones those past the previous
+        for c, (start, end) in enumerate(windows):
+            mset = normalize_masks(provider.mask_for_window(c, start, end))
+            window = Spectrogram(spec.frames(start, end), spec.config, spec.sample_rate)
+            yield functools.partial(job, window, mset, slice(emit_lo - start, end - start))
+            emit_lo = end
+
+    if mode == "masking":
+        job = functools.partial(_mask_unstitched, geometry.reference_index)
+        results = (run() for run in jobs(job))
+    else:
+        job = functools.partial(
+            _beamform_unstitched, geometry, merge_threshold_deg, interference_mode
         )
-        return
-    ref = geometry.reference_index
+        results = parallel.ordered(jobs(job))
     state = StitchState()
-    for c, (start, end) in enumerate(windows):
-        mset = normalize_masks(provider.mask_for_window(c, start, end))
-        window_ref = spec.frames(start, end)[ref]
-        state, (emit_lo, emit_hi), permuted = align_and_emit(
-            state, mset, np.abs(window_ref), (start, end)
-        )
-        emitted = slice(emit_lo - start, emit_hi - start)
-        yield emit_lo, emit_hi, permuted.speech[:, emitted] * window_ref[np.newaxis, emitted]
-
-
-def _beamforming_windows(spec, provider, windows, geometry, merge_threshold_deg, interference_mode):
-    """separate_windows in mode "beamforming", as an ordered pipeline.
-
-    A window's work up to its output does not depend on the stitcher's
-    permutation, which only reorders the two outputs, so it runs in the
-    provider's head order, on up to one window per CPU at a time: on one
-    helper thread per further CPU, with OpenBLAS held to one thread, and on
-    the calling thread. The calling thread reads each window's frames and
-    masks in order, runs the first window no helper has started while the
-    oldest is unfinished, and stitches and yields the finished windows in
-    order. Closing the generator cancels the windows not yet started and
-    waits for the helpers to stop.
-
-    Each helper allocates from a heap of its own, which keeps what it frees.
-    So the calling thread's share of the windows saves one helper, and the
-    first window runs alone on the calling thread: the DOA grid it builds,
-    once per run, then comes from the calling thread's heap.
-    """
-    state = StitchState()
-    with ExitStack() as stack:
-        pinned = stack.enter_context(parallel.one_blas_thread())
-        workers = min(parallel.worker_count(), len(windows)) if pinned else 1
-        # no thread starts before a window is submitted
-        helpers = ThreadPoolExecutor(max(workers - 1, 1), thread_name_prefix="unmix-window")
-        stack.callback(helpers.shutdown, cancel_futures=True)
-
-        def submitted():
-            emit_lo = 0  # the first window emits all its frames, later ones those past the previous
-            for c, (start, end) in enumerate(windows):
-                mset = provider.mask_for_window(c, start, end)
-                window_data = spec.frames(start, end)
-                work = functools.partial(
-                    _beamform_unstitched,
-                    Spectrogram(data=window_data, config=spec.config, sample_rate=spec.sample_rate),
-                    mset,
-                    slice(emit_lo - start, end - start),
-                    geometry,
-                    merge_threshold_deg,
-                    interference_mode,
-                )
-                # an unsubmitted future stays pending until the calling thread runs it
-                yield (start, end), work, helpers.submit(work) if c and workers > 1 else Future()
-                emit_lo = end
-
-        jobs = submitted()
-        pending = deque(islice(jobs, 1))
-        while pending:
-            if not pending[0][2].done():
-                _run_first_unstarted(pending)
-            window_range, _, job = pending.popleft()
-            mset, ref_mag, out = job.result()
+    with closing(results):
+        for window_range, (mset, ref_mag, out) in zip(windows, results):
             state, (emit_lo, emit_hi), _ = align_and_emit(state, mset, ref_mag, window_range)
-            pending.extend(islice(jobs, workers - len(pending)))
-            yield emit_lo, emit_hi, out[list(state.permutation)]
+            yield emit_lo, emit_hi, out[::-1] if state.permutation == (1, 0) else out
 
 
-def _run_first_unstarted(pending):
-    """Run on this thread the first of the pending (range, work, future)
-    windows that no helper has started, and put a future of its outcome in
-    its place."""
-    for i, (window_range, work, future) in enumerate(pending):
-        if future.cancel():
-            done = Future()
-            try:
-                done.set_result(work())
-            except Exception as exc:  # raised in window order, from the result
-                done.set_exception(exc)
-            pending[i] = window_range, work, done
-            return
+def _mask_unstitched(ref, window, mset, emitted):
+    """One masking window in the provider's head order: its masks, its
+    reference-channel magnitude and the (2, emitted frames, bins) output."""
+    window_ref = window.data[ref]
+    return mset, np.abs(window_ref), mset.speech[:, emitted] * window_ref[np.newaxis, emitted]
 
 
-def _beamform_unstitched(window, mset, emitted, geometry, merge_threshold_deg, interference_mode):
-    """One beamforming window in the provider's head order: its normalized,
-    possibly merged masks, its reference-channel magnitude and the (2,
-    emitted frames, bins) output."""
-    mset = normalize_masks(mset)
+def _beamform_unstitched(geometry, merge_threshold_deg, interference_mode, window, mset, emitted):
+    """One beamforming window in the provider's head order: its possibly
+    merged masks, its reference-channel magnitude and the (2, emitted
+    frames, bins) output."""
     covs = window_covariances(window.data, mset, interference_mode)
     merged = merge_heads_if_same_doa(
         mset, window, geometry, merge_threshold_deg, covariances=covs
     )
     if merged is not mset:
         mset, covs = merged, window_covariances(window.data, merged, interference_mode)
-    ref = geometry.reference_index
-    out = beamform_window(window.data, mset, ref, covs, emitted)
-    return mset, np.abs(window.data[ref]), out
+    out = beamform_window(window.data, mset, geometry.reference_index, covs, emitted)
+    return mset, np.abs(window.data[geometry.reference_index]), out
 
 
 def run_pipeline(

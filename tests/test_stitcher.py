@@ -408,7 +408,7 @@ class TestBeamformingStatistics:
 
 
 def _helper_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("unmix-window")]
+    return [t for t in threading.enumerate() if t.name.startswith("unmix-worker")]
 
 
 class TestBeamformingPipeline:
@@ -445,15 +445,15 @@ class TestBeamformingPipeline:
                 return provider.mask_for_window(c, s, e)
 
         calls = []
-        normalize = unmix.stitcher.normalize_masks
+        beamform = unmix.stitcher.beamform_window
 
-        def sleeping_normalize(mset):  # helpers finish out of order, the calling thread early
+        def sleeping_beamform(*args):  # helpers finish out of order, the calling thread early
             calls.append(threading.current_thread().name)
             if threading.current_thread() is not threading.main_thread():
                 time.sleep(delays[1, len(calls) % 40])
-            return normalize(mset)
+            return beamform(*args)
 
-        monkeypatch.setattr(unmix.stitcher, "normalize_masks", sleeping_normalize)
+        monkeypatch.setattr(unmix.stitcher, "beamform_window", sleeping_beamform)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -461,7 +461,7 @@ class TestBeamformingPipeline:
         finally:
             sys.setswitchinterval(interval)
         windows = plan_windows(mixture.frame_count, self.plan)
-        assert len(calls) == len(windows) and any(n.startswith("unmix-window") for n in calls)
+        assert len(calls) == len(windows) and any(n.startswith("unmix-worker") for n in calls)
         ranges = [(lo, hi) for lo, hi, _ in threaded]
         assert ranges == [(lo, hi) for lo, hi, _ in serial]
         assert ranges[0][0] == 0 and ranges[-1][1] == mixture.frame_count
@@ -509,31 +509,28 @@ class TestBeamformingPipeline:
         if calls:
             assert calls[0]() == before
 
-    def test_overlapping_blas_pins_restore_the_count_when_the_last_ends(self):
-        calls = unmix.parallel.blas_thread_calls()
-        if calls is None:
-            pytest.skip("no OpenBLAS thread setting found")
-        get, set_ = calls
-        before = get()
-        set_(2)
-        try:
-            inner_entered, outer_left = threading.Event(), threading.Event()
-            seen = []
 
-            def inner():
-                with unmix.parallel.one_blas_thread():
-                    inner_entered.set()
-                    assert outer_left.wait(10)
-                    seen.append(get())  # the pin outlives the one that set it
-                seen.append(get())
+class TestMaskingPipeline:
+    def test_masking_windows_start_no_helper(self, geometry, monkeypatch):
+        mixture, refs = _activity_spectrogram(
+            None, StftConfig(), 420, [[(0, 260)], [(150, 420)]], geometry
+        )
+        provider = _oracle_provider(mixture, refs)
+        helpers_seen = []
 
-            with unmix.parallel.one_blas_thread():
-                thread = threading.Thread(target=inner)
-                thread.start()
-                assert inner_entered.wait(10)
-            outer_left.set()
-            thread.join(10)
-            assert not thread.is_alive()
-            assert seen == [1, 2]
-        finally:
-            set_(before)
+        class WatchedProvider:
+            def mask_for_window(self, c, s, e):
+                helpers_seen.append(len(_helper_threads()))
+                return provider.mask_for_window(c, s, e)
+
+        # a BLAS thread setting and CPUs to spare, with which beamforming starts helpers
+        fake_blas = (lambda: 1, lambda n: None)
+        monkeypatch.setattr(unmix.parallel, "blas_thread_calls", lambda: fake_blas)
+        monkeypatch.setattr(unmix.parallel, "worker_count", lambda: 3)
+        windows = separate_windows(
+            mixture, WatchedProvider(), WindowPlan(150, 38), "masking", geometry
+        )
+        for _ in windows:
+            helpers_seen.append(len(_helper_threads()))
+        assert len(helpers_seen) == 2 * len(plan_windows(mixture.frame_count, WindowPlan(150, 38)))
+        assert helpers_seen == [0] * len(helpers_seen)
