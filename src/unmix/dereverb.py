@@ -68,16 +68,19 @@ def _wpe_filters(data, stacked, estimate, config, out=None):
     power = np.abs(estimate) ** 2
     lam = np.maximum(np.mean(power, axis=1), eps)  # (F, T)
     # conj(stacked) / lambda is the only (F, JK, T) temporary: R and P are the
-    # conjugates of its products with the plain transposed views.
+    # conjugates of its products with the plain transposed views. Multiplying
+    # by 1 / lambda gives the division's bits: numpy divides a complex number
+    # by a real one as a product with its reciprocal.
     weighted = np.conj(stacked, out=None if out is None else out[: len(stacked)])
-    weighted /= lam[:, np.newaxis]
-    r = np.conj(weighted @ stacked.transpose(0, 2, 1))  # (F, JK, JK)
+    weighted *= (1.0 / lam)[:, np.newaxis]
+    r = weighted @ stacked.transpose(0, 2, 1)  # (F, JK, JK)
+    np.conj(r, out=r)
     p = np.conj(weighted @ data.transpose(0, 2, 1))  # (F, JK, J)
     jk = r.shape[1]
     load = eps * np.maximum(np.real(np.trace(r, axis1=1, axis2=2)) / jk, eps)  # (F,)
-    filters = np.linalg.solve(
-        r + load[:, np.newaxis, np.newaxis] * np.eye(jk), p
-    )
+    diagonal = np.arange(jk)
+    r[:, diagonal, diagonal] += load[:, np.newaxis]
+    filters = np.linalg.solve(r, p)
     return filters, lam, load, power
 
 
@@ -143,7 +146,7 @@ def wpe_block(spec, config=None, collect_residuals=None):
     workspaces = queue.SimpleQueue()
     bands = range(0, spec.bins, _CHUNK_BINS)
     shape = (2, min(_CHUNK_BINS, spec.bins), spec.channel_count * config.taps, spec.frame_count)
-    for _ in range(min(parallel.worker_count(), len(bands))):
+    for _ in range(min(parallel.job_threads(), len(bands))):
         workspaces.put(np.empty(shape, spec.data.dtype))
 
     def run_band(lo):

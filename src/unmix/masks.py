@@ -7,6 +7,7 @@ import numpy as np
 
 from .beamformer import sig_cov, window_covariances
 from .errors import NoSignalError, ShapeError
+from .pit import permute_heads
 from .signal_io import SPEED_OF_SOUND, MaskFile
 
 EPS = 1e-10
@@ -31,11 +32,9 @@ class MaskSet:
             raise ShapeError("noise mask must match speech mask frames x bins")
 
     def permuted(self, permutation):
-        """Return a copy with the speech heads reordered; noise is untouched."""
-        return MaskSet(
-            speech=self.speech[list(permutation)],
-            noise=self.noise.copy(),
-        )
+        """Return a MaskSet with the speech heads in `permutation` order: a
+        view of this one's speech and this one's noise array, not copies."""
+        return MaskSet(speech=permute_heads(self.speech, permutation), noise=self.noise)
 
 
 def oracle_masks(mixture, sources, noise):
@@ -53,11 +52,13 @@ def normalize_masks(mask_set):
     """
     total = mask_set.speech[0] + mask_set.speech[1] + mask_set.noise
     degenerate = total < EPS
-    safe_total = np.where(degenerate, 1.0, total)
-    speech = mask_set.speech / safe_total
-    noise = mask_set.noise / safe_total
-    speech = np.where(degenerate[np.newaxis], 1.0 / 3.0, speech)
-    noise = np.where(degenerate, 1.0 / 3.0, noise)
+    if not degenerate.any():
+        return MaskSet(speech=mask_set.speech / total, noise=mask_set.noise / total)
+    total[degenerate] = 1.0
+    speech = mask_set.speech / total
+    noise = mask_set.noise / total
+    speech[:, degenerate] = 1.0 / 3.0
+    noise[degenerate] = 1.0 / 3.0
     return MaskSet(speech=speech, noise=noise)
 
 

@@ -44,12 +44,12 @@ _pin = {"holders": 0, "saved": None}
 
 @contextmanager
 def one_blas_thread():
-    """Hold OpenBLAS to one thread, then restore its count; yields whether
-    it could. Pins may overlap, on one thread or several: the count is
-    restored when the last of them ends."""
+    """Hold OpenBLAS to one thread, where it has a thread setting, then
+    restore its count. Pins may overlap, on one thread or several: the
+    count is restored when the last of them ends."""
     calls = blas_thread_calls()
     if calls is None:
-        yield False
+        yield
         return
     get, set_ = calls
     with _pin_lock:
@@ -58,7 +58,7 @@ def one_blas_thread():
             set_(1)
         _pin["holders"] += 1
     try:
-        yield True
+        yield
     finally:
         with _pin_lock:
             _pin["holders"] -= 1
@@ -72,6 +72,12 @@ def worker_count():
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on Linux
         return os.cpu_count() or 1
+
+
+def job_threads():
+    """The threads `ordered` runs jobs on: one per CPU where OpenBLAS can be
+    held to one thread, else the calling thread alone."""
+    return worker_count() if blas_thread_calls() is not None else 1
 
 
 def ordered(jobs, ahead=None):
@@ -101,8 +107,8 @@ def ordered(jobs, ahead=None):
         while _run_next(unstarted, block=True):
             pass
 
-    with one_blas_thread() as pinned:
-        spare = worker_count() - 1 if pinned else 0
+    with one_blas_thread():
+        spare = job_threads() - 1
         ahead = ahead or spare + 1
         try:
             _take(jobs, 1, pending, unstarted)

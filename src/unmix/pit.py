@@ -10,6 +10,12 @@ from .errors import ShapeError
 PERMUTATIONS = ((0, 1), (1, 0))
 
 
+def permute_heads(heads, permutation):
+    """The two heads of `heads` (2, ...) in `permutation` order, as a view:
+    `heads` itself, or reversed for the swap."""
+    return heads if tuple(permutation) == (0, 1) else heads[::-1]
+
+
 @dataclass
 class PitResult:
     loss: float

@@ -109,8 +109,8 @@ class WaveReader:
         self._file_channels, self._picked = self.channel_count, slice(None)
         if self._dtype.kind == "f":
             for lo in range(0, self.num_samples, _BLOCK_SAMPLES):
-                block = self.read(lo, min(lo + _BLOCK_SAMPLES, self.num_samples))
-                if not np.all(np.isfinite(block)):
+                block = self._stored(lo, min(lo + _BLOCK_SAMPLES, self.num_samples))
+                if not np.isfinite(block).all():
                     raise FormatError(f"non-finite samples in WAV file {path}")
 
     def channel(self, index):
@@ -126,6 +126,14 @@ class WaveReader:
     def read(self, lo, hi):
         """Samples [lo, hi), 0 <= lo <= hi <= num_samples, as a (channels,
         hi - lo) float64 array normalized to [-1, 1)."""
+        data = self._stored(lo, hi)[:, self._picked]
+        if self._dtype.kind == "i":
+            return (data.astype(np.float64) / 32768.0).T
+        return data.astype(np.float64).T
+
+    def _stored(self, lo, hi):
+        """Samples [lo, hi) of every channel of the file, as stored there:
+        a read-only (hi - lo, channels) array of the file's sample dtype."""
         frame_bytes = self._file_channels * self._dtype.itemsize
         count = hi - lo
         with open(self.path, "rb") as fh:
@@ -133,11 +141,7 @@ class WaveReader:
             raw = fh.read(count * frame_bytes)
         if len(raw) != count * frame_bytes:
             raise FormatError(f"WAV file {self.path} ended before its declared length")
-        data = np.frombuffer(raw, dtype=self._dtype).reshape(count, self._file_channels)
-        data = data[:, self._picked]
-        if self._dtype.kind == "i":
-            return (data.astype(np.float64) / 32768.0).T
-        return data.astype(np.float64).T
+        return np.frombuffer(raw, dtype=self._dtype).reshape(count, self._file_channels)
 
 
 def _read_wav_header(fh, path):

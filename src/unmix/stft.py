@@ -172,6 +172,11 @@ class OverlapAdd:
     (non-windowed-consistent) spectrograms cannot be amplified by the
     vanishing window tails. The samples equal a whole-signal overlap-add:
     each is accumulated in the same order.
+
+    The running sums are held hop by hop, as (channels, hops, hop) and
+    (hops, hop) arrays: part r of n pushed frames adds to hops r to
+    r + n - 1 through one slice, a view. push windows its inverse
+    transforms in place and copies no frame.
     """
 
     def __init__(self, config, channels, frame_count):
@@ -179,9 +184,9 @@ class OverlapAdd:
         self._remaining = frame_count
         self._window = config.window()
         self._window_square = self._window**2
-        overlap = config.window_size - config.hop
-        self._out = np.zeros((channels, overlap))  # sums the next frame adds to
-        self._norm = np.zeros(overlap)
+        overlap = config.window_size // config.hop - 1  # hops a frame shares with the next
+        self._out = np.zeros((channels, overlap, config.hop))  # sums the next frame adds to
+        self._norm = np.zeros((overlap, config.hop))
         # the window-square sum takes the same set of values for every frame
         # count from window_size / hop up, so its largest value is found
         # from that many frames at most
@@ -201,9 +206,10 @@ class OverlapAdd:
             raise ShapeError(f"{n} frames pushed, {self._remaining} left")
         self._remaining -= n
         segments = np.fft.irfft(data, n=config.fft_size, axis=2)[:, :, :size]
-        channels, overlap = len(self._out), self._norm.size
-        out = np.zeros((channels, n * hop + overlap))
-        norm = np.zeros(n * hop + overlap)
+        segments *= self._window
+        channels, overlap = len(self._out), len(self._norm)
+        out = np.zeros((channels, n + overlap, hop))
+        norm = np.zeros((n + overlap, hop))
         out[:, :overlap] = self._out
         norm[:overlap] = self._norm
         # Part r of frame t, its samples [r * hop, (r + 1) * hop), adds to
@@ -211,12 +217,11 @@ class OverlapAdd:
         # r running down, every sample sums its frames in increasing t.
         for r in reversed(range(size // hop)):
             part = slice(r * hop, (r + 1) * hop)
-            added = slice(r * hop, (r + n) * hop)
-            out[:, added] += (segments[:, :, part] * self._window[part]).reshape(channels, -1)
-            norm[added] += np.tile(self._window_square[part], n)
-        done = n * hop if self._remaining else out.shape[1]
+            out[:, r : r + n] += segments[:, :, part]
+            norm[r : r + n] += self._window_square[part]
+        done = n if self._remaining else n + overlap
         self._out, self._norm = out[:, done:], norm[done:]
-        return out[:, :done] / np.maximum(norm[:done], self._floor)
+        return out[:, :done].reshape(channels, -1) / np.maximum(norm[:done].ravel(), self._floor)
 
 
 def synthesize(spec):

@@ -11,7 +11,7 @@ from . import parallel
 from .beamformer import beamform_window, window_covariances
 from .errors import InsufficientInputError, ShapeError
 from .masks import merge_heads_if_same_doa, normalize_masks
-from .pit import PERMUTATIONS
+from .pit import PERMUTATIONS, permute_heads
 from .stft import Spectrogram
 
 
@@ -68,8 +68,8 @@ def alignment_cost(prev_overlap, curr_overlap, permutation):
     curr_overlap = np.asarray(curr_overlap, dtype=np.float64)
     if prev_overlap.shape != curr_overlap.shape:
         raise ShapeError("overlap regions must share a shape")
-    diff = prev_overlap - curr_overlap[list(permutation)]
-    return float(np.sum(diff**2))
+    diff = prev_overlap - permute_heads(curr_overlap, permutation)
+    return float(np.sum(np.square(diff, out=diff)))
 
 
 def align_and_emit(state, window_masks, window_ref_mag, window_range):
@@ -77,10 +77,12 @@ def align_and_emit(state, window_masks, window_ref_mag, window_range):
     new (non-overlapping) frames.
 
     window_ref_mag: (frames, bins) reference-channel magnitude of the window.
-    Returns (new_state, (emit_start, emit_end), permuted MaskSet). The first
-    window emits all its frames; later windows emit only frames past the
-    previous window's end, minimizing latency. Ties choose the identity
-    permutation; only data from windows <= the current one is consulted.
+    Returns (new_state, (emit_start, emit_end), permuted MaskSet); that
+    MaskSet and the state's masked magnitudes are views of the window's
+    arrays, not copies. The first window emits all its frames; later
+    windows emit only frames past the previous window's end, minimizing
+    latency. Ties choose the identity permutation; only data from windows
+    <= the current one is consulted.
     """
     start, end = window_range
     masked = window_masks.speech * window_ref_mag[np.newaxis]  # (2, T, F)
@@ -99,13 +101,12 @@ def align_and_emit(state, window_masks, window_ref_mag, window_range):
         costs = [alignment_cost(prev_part, curr_part, p) for p in PERMUTATIONS]
         permutation = PERMUTATIONS[0] if costs[0] <= costs[1] else PERMUTATIONS[1]
         emit = (prev_end, end)
-    permuted = window_masks.permuted(permutation)
     new_state = StitchState(
         permutation=permutation,
-        previous_masked_mags=masked[list(permutation)],
+        previous_masked_mags=permute_heads(masked, permutation),
         previous_range=window_range,
     )
-    return new_state, emit, permuted
+    return new_state, emit, window_masks.permuted(permutation)
 
 
 def separate_windows(
@@ -165,7 +166,7 @@ def separate_windows(
     with closing(results):
         for window_range, (mset, ref_mag, out) in zip(windows, results):
             state, (emit_lo, emit_hi), _ = align_and_emit(state, mset, ref_mag, window_range)
-            yield emit_lo, emit_hi, out[::-1] if state.permutation == (1, 0) else out
+            yield emit_lo, emit_hi, permute_heads(out, state.permutation)
 
 
 def _mask_unstitched(ref, window, mset, emitted):

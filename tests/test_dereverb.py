@@ -173,6 +173,39 @@ class TestMatmulMatchesEinsum:
         )
 
 
+def _filters_with_division_and_eye(data, stacked, estimate, config, out=None):
+    """_wpe_filters with the weighting as a division by lambda, the
+    conjugates as new arrays and the ridge load added through a full
+    identity matrix: the reference the in-place steps must equal bit for bit."""
+    eps = config.epsilon
+    power = np.abs(estimate) ** 2
+    lam = np.maximum(np.mean(power, axis=1), eps)
+    weighted = np.conj(stacked, out=None if out is None else out[: len(stacked)])
+    weighted /= lam[:, np.newaxis]
+    r = np.conj(weighted @ stacked.transpose(0, 2, 1))
+    p = np.conj(weighted @ data.transpose(0, 2, 1))
+    jk = r.shape[1]
+    load = eps * np.maximum(np.real(np.trace(r, axis1=1, axis2=2)) / jk, eps)
+    filters = np.linalg.solve(r + load[:, np.newaxis, np.newaxis] * np.eye(jk), p)
+    return filters, lam, load, power
+
+
+class TestInPlaceSteps:
+    @settings(max_examples=60, deadline=None)
+    @given(block=random_blocks(), iterations=st.integers(1, 3), silent_frames=st.integers(0, 8))
+    def test_wpe_block_equals_the_reference_formula(self, block, iterations, silent_frames):
+        data, config = block
+        data[:, :, :silent_frames] = 0.0
+        config.iterations = iterations
+        spec = _as_spectrogram(data)
+        residuals, expected_residuals = [], []
+        out = wpe_block(spec, config, residuals)
+        with mock.patch.object(unmix.dereverb, "_wpe_filters", _filters_with_division_and_eye):
+            expected = wpe_block(spec, config, expected_residuals)
+        np.testing.assert_array_equal(out.data, expected.data)
+        assert residuals == expected_residuals
+
+
 class TestObjectiveOnRandomBlocks:
     @settings(max_examples=100, deadline=None)
     @given(block=random_blocks(), iterations=st.integers(1, 4))
@@ -347,6 +380,22 @@ class TestBandsOnThreads:
         residuals = []
         wpe_block(spec, config, collect_residuals=residuals)
         assert residuals == in_order
+
+    def test_without_a_blas_thread_setting_one_workspace_serves_every_band(self, monkeypatch):
+        wpe_bins = unmix.dereverb._wpe_bins
+        workspaces = []
+
+        def recording(data, config, residuals, workspace):
+            workspaces.append(workspace)
+            return wpe_bins(data, config, residuals, workspace)
+
+        monkeypatch.setattr(unmix.dereverb, "_wpe_bins", recording)
+        monkeypatch.setattr(unmix.parallel, "blas_thread_calls", lambda: None)
+        monkeypatch.setattr(unmix.parallel, "worker_count", lambda: 2)
+        data, config = _fixed_block(bins=10)
+        wpe_block(_as_spectrogram(data), config)
+        assert len(workspaces) == len(range(0, 10, unmix.dereverb._CHUNK_BINS))
+        assert len({id(w) for w in workspaces}) == 1
 
     def test_without_a_blas_thread_setting_bands_run_on_the_calling_thread(self, monkeypatch):
         data, config = _fixed_block(bins=10)

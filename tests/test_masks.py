@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from unmix.beamformer import window_covariances
 from unmix.errors import NoSignalError, ShapeError
 from unmix.masks import (
+    EPS,
     MaskSet,
     circular_difference_deg,
     doa_from_eigenvectors,
@@ -134,6 +135,44 @@ class TestNormalizeMasks:
             assert np.all((m >= 0.0) & (m <= 1.0))
         zero = np.all(masks == 0.0, axis=0)
         np.testing.assert_array_equal(out.noise[zero], 1.0 / 3.0)
+
+    @pytest.mark.filterwarnings("error")  # no division by a zero total
+    @settings(max_examples=200, deadline=None)
+    @given(
+        frames=st.integers(1, 12),
+        bins=st.integers(1, 12),
+        zero_fraction=st.sampled_from([0.0, 0.0, 0.3, 1.0]),
+        scale_exponent=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_formula_with_a_guard_in_every_bin(
+        self, frames, bins, zero_fraction, scale_exponent, seed
+    ):
+        rng = np.random.default_rng(seed)
+        masks = rng.uniform(0, 1, (3, frames, bins)) * 10.0**-scale_exponent
+        masks[:, rng.uniform(size=(frames, bins)) < zero_fraction] = 0.0
+        given_masks = masks.copy()
+        # the formula that guards every bin, degenerate or not
+        total = masks[0] + masks[1] + masks[2]
+        degenerate = total < EPS
+        safe_total = np.where(degenerate, 1.0, total)
+        speech = np.where(degenerate[np.newaxis], 1.0 / 3.0, masks[:2] / safe_total)
+        noise = np.where(degenerate, 1.0 / 3.0, masks[2] / safe_total)
+        out = normalize_masks(MaskSet(speech=masks[:2], noise=masks[2]))
+        np.testing.assert_array_equal(out.speech, speech)
+        np.testing.assert_array_equal(out.noise, noise)
+        np.testing.assert_array_equal(masks, given_masks)
+
+
+class TestPermuted:
+    @pytest.mark.parametrize("permutation", [(0, 1), (1, 0)])
+    def test_views_of_the_heads_in_permutation_order(self, rng, permutation):
+        mset = MaskSet(speech=rng.uniform(0, 1, (2, 5, 7)), noise=rng.uniform(0, 1, (5, 7)))
+        permuted = mset.permuted(permutation)
+        for i, head in enumerate(permutation):
+            np.testing.assert_array_equal(permuted.speech[i], mset.speech[head])
+            assert np.shares_memory(permuted.speech[i], mset.speech[head])
+        assert permuted.noise is mset.noise
 
 
 class TestDoa:

@@ -47,6 +47,17 @@ def _on_main():
     return threading.current_thread() is threading.main_thread()
 
 
+class TestJobThreads:
+    def test_one_per_cpu_with_a_blas_thread_setting(self, blas, monkeypatch):
+        _workers(monkeypatch, 3)
+        assert unmix.parallel.job_threads() == 3
+
+    def test_the_calling_thread_alone_without_one(self, monkeypatch):
+        monkeypatch.setattr(unmix.parallel, "blas_thread_calls", lambda: None)
+        _workers(monkeypatch, 3)
+        assert unmix.parallel.job_threads() == 1
+
+
 class TestOrdered:
     def test_random_delays_keep_the_order_and_run_each_job_once(self, blas, monkeypatch):
         _workers(monkeypatch, 8)  # more threads than this machine's CPUs, most likely

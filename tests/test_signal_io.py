@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from unmix.errors import FormatError, RangeError, UnsupportedFormatError
 from unmix.masks import MaskSet
 from unmix.signal_io import (
+    _BLOCK_SAMPLES,
     MultichannelWave,
     WaveReader,
     WaveWriter,
@@ -160,6 +161,23 @@ def test_non_finite_samples_are_format_error(tmp_path, bad):
     scipy.io.wavfile.write(path, 16000, data)
     with pytest.raises(FormatError, match="non-finite"):
         read_wave(path)
+
+
+@pytest.mark.parametrize("container", ["RIFF", "RIFX"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_samples_of_either_byte_order_are_format_error(
+    tmp_path, container, dtype, bad
+):
+    data = np.zeros((_BLOCK_SAMPLES + 10, 2), dtype=dtype)
+    data[_BLOCK_SAMPLES + 5, 1] = bad  # in the second block of the check
+    path = tmp_path / "bad.wav"
+    path.write_bytes(_wav_file_bytes(data, 16000, container, False, 0, 0))
+    with pytest.raises(FormatError, match="non-finite"):
+        WaveReader(path)
+    data[_BLOCK_SAMPLES + 5, 1] = 0.5
+    path.write_bytes(_wav_file_bytes(data, 16000, container, False, 0, 0))
+    np.testing.assert_array_equal(WaveReader(path).read(0, len(data)), data.T)
 
 
 @settings(max_examples=40, deadline=None)

@@ -88,6 +88,26 @@ class TestAlignmentCost:
         with pytest.raises(ShapeError):
             alignment_cost(np.zeros((2, 4, 3)), np.zeros((2, 5, 3)), (0, 1))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        frames=st.integers(1, 40),
+        bins=st.integers(1, 40),
+        reversed_prev=st.booleans(),
+        reversed_curr=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_sum_over_a_reordered_copy(
+        self, frames, bins, reversed_prev, reversed_curr, seed
+    ):
+        # the overlaps as align_and_emit passes them: frame ranges of whole
+        # windows, whose heads may be reversed views
+        rng = np.random.default_rng(seed)
+        prev = rng.uniform(0, 1, (2, frames + 3, bins))[::-1 if reversed_prev else 1, 3:]
+        curr = rng.uniform(0, 1, (2, frames + 5, bins))[::-1 if reversed_curr else 1, :frames]
+        for perm in ((0, 1), (1, 0)):
+            expected = float(np.sum((prev - curr[list(perm)]) ** 2))
+            assert alignment_cost(prev, curr, perm) == expected
+
 
 def _activity_spectrogram(rng, config, frames, segments_per_channel, geometry):
     """Two STFT-domain plane-wave talkers with alternating activity."""
@@ -153,6 +173,29 @@ class TestAlignAndEmit:
         assert emit == (0, 150)
         assert state.permutation == (0, 1)
         np.testing.assert_array_equal(permuted.speech, mset.speech)
+
+    @pytest.mark.parametrize("swapped", [False, True])
+    def test_masks_and_magnitudes_are_views_of_the_window(self, rng, swapped):
+        mset = self._mask_set(rng)
+        ref_mag = rng.uniform(0.5, 1.0, (150, 257))
+        state, _, _ = align_and_emit(StitchState(), mset, ref_mag, (0, 150))
+        shifted = mset.speech[:, 38:] * ref_mag[38:]
+        next_speech = np.concatenate([shifted, rng.uniform(0, 1, (2, 38, 257))], axis=1)
+        next_ref = np.ones((150, 257))
+        next_mset = MaskSet(speech=next_speech[::-1] if swapped else next_speech,
+                            noise=np.zeros((150, 257)))
+        state, _, permuted = align_and_emit(state, next_mset, next_ref, (38, 188))
+        assert state.permutation == ((1, 0) if swapped else (0, 1))
+        np.testing.assert_array_equal(permuted.speech, next_speech)
+        assert np.shares_memory(permuted.speech, next_mset.speech)
+        assert permuted.noise is next_mset.noise
+        # the magnitudes kept for the next window are the window's product,
+        # in the provider's head order, seen through a view
+        mags = state.previous_masked_mags
+        np.testing.assert_array_equal(mags, next_speech * next_ref)
+        product = mags if mags.base is None else mags.base
+        assert np.shares_memory(mags, product)
+        np.testing.assert_array_equal(product, next_mset.speech * next_ref)
 
     def test_swap_detected(self, rng):
         mset = self._mask_set(rng)
