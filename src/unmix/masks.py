@@ -52,8 +52,6 @@ def normalize_masks(mask_set):
     """
     total = mask_set.speech[0] + mask_set.speech[1] + mask_set.noise
     degenerate = total < EPS
-    if not degenerate.any():
-        return MaskSet(speech=mask_set.speech / total, noise=mask_set.noise / total)
     total[degenerate] = 1.0
     speech = mask_set.speech / total
     noise = mask_set.noise / total

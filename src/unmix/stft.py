@@ -221,7 +221,7 @@ class OverlapAdd:
             norm[r : r + n] += self._window_square[part]
         done = n if self._remaining else n + overlap
         self._out, self._norm = out[:, done:], norm[done:]
-        return out[:, :done].reshape(channels, -1) / np.maximum(norm[:done].ravel(), self._floor)
+        return (out[:, :done] / np.maximum(norm[:done], self._floor)).reshape(channels, -1)
 
 
 def synthesize(spec):
