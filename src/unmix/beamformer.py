@@ -18,7 +18,7 @@ _BAND_BINS = 16  # bins whose covariances sig_cov computes together
 def sig_cov(window_data, masks):
     """Spatial covariances of the masked signal, one per mask.
 
-    window_data: (J, frames, bins) complex; masks: (..., frames, bins) in
+    window_data: (J, frames, bins) complex; masks: float (..., frames, bins) in
     [0, 1], e.g. a stack of H heads. Returns (..., bins, J, J). Per head and
     frequency: Phi_f = sum_t (m x)(m x)^H / max(sum_t m^2, eps), i.e. the mask
     is applied to the signal before the outer product. Per band of
@@ -27,7 +27,6 @@ def sig_cov(window_data, masks):
     frames) temporary without changing the output. An empty mask yields zero
     matrices.
     """
-    masks = np.asarray(masks, dtype=np.float64)
     if masks.shape[-2:] != window_data.shape[1:]:
         raise ShapeError("masks must align with window frames x bins")
     j, _, bins = window_data.shape
@@ -82,8 +81,8 @@ def window_covariances(window_data, mask_set, interference_mode="ssn"):
 
 
 def principal_component(cov, eigenpairs=None):
-    """Rank-1 reduction of covariances (bins, J, J): lambda_max v v^H per
-    frequency. eigenpairs: np.linalg.eigh(cov), when the caller has it.
+    """Rank-1 reduction of covariances (..., bins, J, J) to lambda_max v v^H
+    per frequency. eigenpairs: np.linalg.eigh(cov), when the caller has it.
 
     Used to denoise the target covariance before the MVDR solve: the masked
     estimate of a (near) point source is rank-1 plus estimation noise, and
@@ -91,8 +90,8 @@ def principal_component(cov, eigenpairs=None):
     """
     _require_hermitian(cov, "target")
     vals, vecs = np.linalg.eigh(cov) if eigenpairs is None else eigenpairs
-    scaled = vecs[:, :, -1] * np.sqrt(np.maximum(vals[:, -1:], 0.0))
-    return scaled[:, :, np.newaxis] * np.conj(scaled[:, np.newaxis, :])
+    scaled = vecs[..., -1] * np.sqrt(np.maximum(vals[..., -1:], 0.0))
+    return scaled[..., :, np.newaxis] * np.conj(scaled[..., np.newaxis, :])
 
 
 def _require_hermitian(matrices, name):
@@ -102,73 +101,65 @@ def _require_hermitian(matrices, name):
         raise ContractViolationError(f"{name} covariance is not Hermitian (err {err:g})")
 
 
-def mvdr_weights(target, interference, reference_index, loading=DIAGONAL_LOADING):
+def mvdr_weights(target, interference, reference_index):
     """Minimum-variance distortionless-response weights per frequency.
 
-    target (Phi) and interference (Psi): (bins, J, J) Hermitian. Returns
-    (bins, J) weights w_f = (Psi_f^-1 Phi_f e) / tr(Psi_f^-1 Phi_f) with e
-    selecting the reference channel; Psi is diagonally loaded by
-    `loading` * tr/J for invertibility. Frequencies whose trace normalizer is
-    below the empty-target tolerance get zero weights.
+    target (Phi) and interference (Psi): (..., bins, J, J) Hermitian. Returns
+    (..., bins, J) weights w_f = (Psi_f^-1 Phi_f e) / tr(Psi_f^-1 Phi_f) with
+    e selecting the reference channel (Souden et al., IEEE TASLP 2010); Psi
+    is diagonally loaded by DIAGONAL_LOADING * tr/J for invertibility. Bins
+    whose trace normalizer is below EMPTY_TARGET_TOL get zero weights.
     """
     phi, psi = np.asarray(target), np.asarray(interference)
     if phi.shape != psi.shape:
         raise ShapeError("target and interference covariance shapes differ")
-    if psi.ndim != 3 or psi.shape[1] != psi.shape[2]:
-        raise ShapeError("covariance matrices must be (bins, J, J)")
+    if psi.ndim < 3 or psi.shape[-1] != psi.shape[-2]:
+        raise ShapeError("covariance matrices must be (..., bins, J, J)")
     _require_hermitian(phi, "target")
     _require_hermitian(psi, "interference")
-    bins_, j, _ = psi.shape
-    trace_psi = np.real(np.trace(psi, axis1=1, axis2=2))
-    load = loading * np.maximum(trace_psi, EPS) / j
-    psi_loaded = psi + load[:, np.newaxis, np.newaxis] * np.eye(j)
-    z = np.linalg.solve(psi_loaded, phi)  # (F, J, J) = Psi^-1 Phi
-    numerator = z[:, :, reference_index]
-    denominator = np.trace(z, axis1=1, axis2=2)
-    weights = np.zeros((bins_, j), dtype=np.complex128)
+    j = psi.shape[-1]
+    trace_psi = np.real(np.trace(psi, axis1=-2, axis2=-1))
+    load = DIAGONAL_LOADING * np.maximum(trace_psi, EPS) / j
+    psi_loaded = psi + load[..., np.newaxis, np.newaxis] * np.eye(j)
+    z = np.linalg.solve(psi_loaded, phi)  # (..., F, J, J) = Psi^-1 Phi
+    numerator = z[..., :, reference_index]
+    denominator = np.trace(z, axis1=-2, axis2=-1)
+    weights = np.zeros(psi.shape[:-1], dtype=np.complex128)
     active = np.abs(denominator) >= EMPTY_TARGET_TOL
-    weights[active] = numerator[active] / denominator[active, np.newaxis]
+    weights[active] = numerator[active] / denominator[active][:, np.newaxis]
     return weights
 
 
 def apply_weights(weights, window_data):
-    """y[t, f] = w_f^H x[:, t, f] for weights (bins, J): one batched matmul
-    over frequency, (1, J) @ (J, frames) per bin."""
-    y = np.conj(weights)[:, np.newaxis, :] @ np.transpose(window_data, (2, 0, 1))
-    return y[:, 0, :].T
+    """y[..., t, f] = w_f^H x[:, t, f] for weights (..., bins, J), shaped (...,
+    frames, bins): one batched (1, J) @ (J, frames) matmul per bin."""
+    y = np.conj(weights)[..., :, np.newaxis, :] @ np.transpose(window_data, (2, 0, 1))
+    return np.swapaxes(y[..., 0, :], -1, -2)
 
 
 def gain_adjust(beamformed, mask, ref_mag):
     """Cap the output magnitude by the masked reference magnitude.
 
-    Per bin: y <- y * min(1, (m |x_R| + eps) / (|y| + eps)). Never increases
-    magnitude and never alters phase; suppresses beamformer leakage in bins
-    the mask marks as silent.
+    Per bin of beamformed, mask (..., frames, bins) and ref_mag (frames, bins):
+    y <- y * min(1, (m |x_R| + eps) / (|y| + eps)). Never increases magnitude
+    and never alters phase; suppresses leakage in bins the mask marks silent.
     """
-    mask = np.asarray(mask, dtype=np.float64)
-    ref_mag = np.asarray(ref_mag, dtype=np.float64)
-    if beamformed.shape != mask.shape or mask.shape != ref_mag.shape:
+    if beamformed.shape != mask.shape or mask.shape[-2:] != ref_mag.shape:
         raise ShapeError("beamformed output, mask and reference must align")
     cap = (mask * ref_mag + EPS) / (np.abs(beamformed) + EPS)
-    return beamformed * np.minimum(1.0, cap)
+    return beamformed * np.minimum(1.0, cap, out=cap)
 
 
 def beamform_window(window_data, mask_set, reference_index, covariances, frames=slice(None)):
-    """Beamform one window into two output channels.
+    """Beamform one window's two speech heads, as one stack, into two outputs.
 
     window_data: (J, frames, bins) complex slice of the mixture;
     covariances: the window_covariances of mask_set over it. The weights
     come from the whole window and are applied to its `frames`, a slice.
     Returns (2, the selected frames, bins) complex.
     """
-    phi, psi = covariances.phi, covariances.psi
-    values, vectors = covariances.values, covariances.vectors
+    target = principal_component(covariances.phi, (covariances.values, covariances.vectors))
+    weights = mvdr_weights(target, covariances.psi, reference_index)
     data = window_data[:, frames]
-    ref_mag = np.abs(data[reference_index])
-    out = np.empty((2,) + data.shape[1:], dtype=np.complex128)
-    for i in range(2):
-        target = principal_component(phi[i], (values[i], vectors[i]))
-        w = mvdr_weights(target, psi[i], reference_index)
-        y = apply_weights(w, data)
-        out[i] = gain_adjust(y, mask_set.speech[i][frames], ref_mag)
-    return out
+    beamformed = apply_weights(weights, data)
+    return gain_adjust(beamformed, mask_set.speech[:, frames], np.abs(data[reference_index]))

@@ -321,6 +321,7 @@ def _evaluate_scene(est_dir, truth_dir, config):
         )
     estimates = [wave.samples[0] for wave in waves]
     _, num_samples, rate = shapes[0]
+    config.stft.frame_count(num_samples)  # estimates shorter than one frame have no activity
     meta, streams, _ = _load_truth(truth_dir, num_samples, rate)
     segments = meta.get("activity_samples")
     if segments is None:

@@ -6,6 +6,7 @@ import numpy as np
 
 from .dereverb import WpeConfig
 from .errors import ConfigurationError, FormatError
+from .masks import DOA_MERGE_THRESHOLD_DEG
 from .signal_io import ArrayGeometry, circular_array
 from .stft import StftConfig
 from .stitcher import WindowPlan
@@ -142,7 +143,7 @@ class PipelineConfig:
     wpe: WpeConfig = field(default_factory=WpeConfig)
     array_radius: float = 0.0425
     reference_index: int = 0
-    doa_merge_threshold_deg: float = 15.0
+    doa_merge_threshold_deg: float = DOA_MERGE_THRESHOLD_DEG
 
     def __post_init__(self):
         if self.mode not in ("masking", "beamforming"):

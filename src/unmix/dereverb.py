@@ -184,14 +184,16 @@ class WpeFrames(FrameSource):
         super().__init__(source, source.config, source.frame_count)
         self.wpe = config or WpeConfig()
         frame_rate = source.sample_rate / source.config.hop
-        self._block = int(round(self.wpe.update_interval * frame_rate))
+        # a length past the recording (or past one usable block) acts as that length
+        longest = max(self.frame_count, self.wpe.delay + self.wpe.taps)
+        self._block = round(min(self.wpe.update_interval * frame_rate, longest))
         if self._block < self.wpe.delay + self.wpe.taps:
             raise ConfigurationError(
                 f"wpe_update_interval = {self.wpe.update_interval} s gives blocks of "
                 f"{self._block} frames, fewer than wpe_delay + wpe_taps = "
                 f"{self.wpe.delay + self.wpe.taps}"
             )
-        self._context = max(int(round(self.wpe.context * frame_rate)), self._block)
+        self._context = max(round(min(self.wpe.context * frame_rate, longest)), self._block)
 
     def _next(self, lo, end):
         """The frames from lo to the end of lo's block."""

@@ -5,12 +5,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformer import sig_cov, window_covariances
+from .beamformer import EPS, sig_cov, window_covariances
 from .errors import NoSignalError, ShapeError
 from .pit import permute_heads
 from .signal_io import SPEED_OF_SOUND, MaskFile
 
-EPS = 1e-10
+DOA_GRID_DEG = 1.0  # azimuth step of the steering-vector grid
+DOA_BAND_HZ = (300.0, 4000.0)  # the speech band whose bins vote on a DOA
+DOA_MERGE_THRESHOLD_DEG = 15.0  # heads whose DOAs differ by less are merged
 
 
 @dataclass
@@ -78,23 +80,23 @@ def steering_vectors(geometry, frequencies, azimuths_deg):
     return np.exp(phase, out=phase)
 
 
-_doa_grid_cache = {}  # holds only the latest (positions, band, grid) entry
+_doa_grid_cache = {}  # holds only the latest (positions, band) entry
 
 
-def _doa_grid(geometry, freqs, grid_deg):
+def _doa_grid(geometry, freqs):
     """Azimuth grid and the conjugated steering vectors, scaled to unit norm
     and laid out contiguously as (Fb, A, J), that DOA estimation matches
     against.
 
-    Every window of a run asks for the same geometry, band and grid, so the
-    latest grid is kept and rebuilt only when one of them changes. Windows
-    on other threads may build it at the same time: each returns the grid
-    it found or built.
+    Every window of a run asks for the same geometry and band, so the latest
+    grid is kept and rebuilt only when one of them changes. Windows on other
+    threads may build it at the same time: each returns the grid it found or
+    built.
     """
-    key = (geometry.positions.tobytes(), freqs.tobytes(), grid_deg)
+    key = (geometry.positions.tobytes(), freqs.tobytes())
     grid = _doa_grid_cache.get(key)
     if grid is None:
-        azimuths = np.arange(0.0, 360.0, grid_deg)
+        azimuths = np.arange(0.0, 360.0, DOA_GRID_DEG)
         steer = steering_vectors(geometry, freqs, azimuths)
         steer /= np.sqrt(steer.shape[2])  # in place: the layout change below copies
         np.conj(steer, out=steer)
@@ -106,18 +108,18 @@ def _doa_grid(geometry, freqs, grid_deg):
     return grid
 
 
-def doa_from_eigenvectors(vectors, freqs, geometry, grid_deg=1.0, f_min=300.0, f_max=4000.0):
+def doa_from_eigenvectors(vectors, freqs, geometry):
     """Azimuth in [0, 360) of the source whose spatial covariances have the
     eigenvectors `vectors` (..., bins, J, J), eigenvalues ascending as
     np.linalg.eigh returns them; freqs: (bins,) in Hz.
 
-    Per frequency bin in [f_min, f_max], the principal eigenvector is matched
-    against a grid of far-field steering vectors; match scores are summed
-    over the band and the argmax azimuth returned: a float for one source, an
-    array of the leading shape for a stack.
+    Per frequency bin in DOA_BAND_HZ, the principal eigenvector is matched
+    against far-field steering vectors every DOA_GRID_DEG degrees; match
+    scores are summed over the band and the argmax azimuth returned: a float
+    for one source, an array of the leading shape for a stack.
     """
-    band = (freqs >= f_min) & (freqs <= f_max)
-    azimuths, steer_conj = _doa_grid(geometry, freqs[band], grid_deg)
+    band = (freqs >= DOA_BAND_HZ[0]) & (freqs <= DOA_BAND_HZ[1])
+    azimuths, steer_conj = _doa_grid(geometry, freqs[band])
     principal = vectors[..., -1][..., band, :]  # (..., Fb, J)
     match = steer_conj @ principal[..., np.newaxis]  # (..., Fb, A, 1)
     scores = np.abs(match[..., 0]) ** 2
@@ -125,11 +127,11 @@ def doa_from_eigenvectors(vectors, freqs, geometry, grid_deg=1.0, f_min=300.0, f
     return float(doa) if doa.ndim == 0 else doa
 
 
-def estimate_doa(masks, spec, geometry, grid_deg=1.0, f_min=300.0, f_max=4000.0):
+def estimate_doa(masks, spec, geometry):
     """Estimate the azimuth of the source selected by each mask.
 
     masks: (frames, bins), or a stack (..., frames, bins) of such masks.
-    The mask-weighted spatial covariances of the bins in [f_min, f_max] are
+    The mask-weighted spatial covariances of the bins in DOA_BAND_HZ are
     eigendecomposed and matched by doa_from_eigenvectors: a float for one
     mask, an array of the leading shape for a stack.
     """
@@ -139,10 +141,10 @@ def estimate_doa(masks, spec, geometry, grid_deg=1.0, f_min=300.0, f_max=4000.0)
     if np.any(np.sum(masks, axis=(-2, -1)) < EPS):
         raise NoSignalError("all-zero mask carries no direction information")
     freqs = spec.bin_frequencies()
-    band = (freqs >= f_min) & (freqs <= f_max)
+    band = (freqs >= DOA_BAND_HZ[0]) & (freqs <= DOA_BAND_HZ[1])
     cov = sig_cov(spec.data[:, :, band], masks[..., band])  # (..., Fb, J, J)
     _, vecs = np.linalg.eigh(cov)
-    return doa_from_eigenvectors(vecs, freqs[band], geometry, grid_deg, f_min, f_max)
+    return doa_from_eigenvectors(vecs, freqs[band], geometry)
 
 
 def circular_difference_deg(a, b):
@@ -150,15 +152,17 @@ def circular_difference_deg(a, b):
     return min(d, 360.0 - d)
 
 
-def merge_heads_if_same_doa(mask_set, spec, geometry, threshold_deg=15.0, covariances=None):
+def merge_heads_if_same_doa(
+    mask_set, spec, geometry, threshold_deg=DOA_MERGE_THRESHOLD_DEG, covariances=None
+):
     """Merge the two speech heads when their DOA estimates nearly coincide.
 
     The DOAs come from the speech-head eigenvectors of covariances, the
     window_covariances of mask_set over spec (computed here when not given).
     If the circular DOA difference is strictly below the threshold the head
     with the larger total mask mass absorbs the elementwise sum (clipped to 1)
-    and the other head is zeroed; mask_set itself is returned when nothing
-    merges. A head with no mass is left unmerged.
+    and the other head is zeroed, sharing mask_set's noise array; mask_set
+    itself is returned when nothing merges. A head with no mass is unmerged.
     """
     masses = [float(np.sum(mask_set.speech[i])) for i in range(2)]
     if min(masses) < EPS:
@@ -172,7 +176,7 @@ def merge_heads_if_same_doa(mask_set, spec, geometry, threshold_deg=15.0, covari
     merged = np.clip(mask_set.speech[0] + mask_set.speech[1], 0.0, 1.0)
     speech = np.zeros_like(mask_set.speech)
     speech[dominant] = merged
-    return MaskSet(speech=speech, noise=mask_set.noise.copy())
+    return MaskSet(speech=speech, noise=mask_set.noise)
 
 
 class OracleMaskProvider:

@@ -34,8 +34,8 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def si_sdr(estimate, reference, cap_db=SI_SDR_CAP_DB):
-    """Scale-invariant signal-to-distortion ratio in dB, capped at 60 dB.
+def si_sdr(estimate, reference):
+    """Scale-invariant signal-to-distortion ratio in dB, within +-SI_SDR_CAP_DB.
 
     10 log10(||a s||^2 / ||a s - s_hat||^2) with the optimal scale
     a = <s_hat, s> / ||s||^2; invariant to positive scaling of the estimate.
@@ -51,12 +51,12 @@ def si_sdr(estimate, reference, cap_db=SI_SDR_CAP_DB):
     target = alpha * reference
     target_energy = float(np.dot(target, target))
     error_energy = float(np.sum((target - estimate) ** 2))
-    if error_energy <= target_energy * 10.0 ** (-cap_db / 10.0):
-        return cap_db
+    if error_energy <= target_energy * 10.0 ** (-SI_SDR_CAP_DB / 10.0):
+        return SI_SDR_CAP_DB
     if target_energy == 0.0:
-        return -cap_db
+        return -SI_SDR_CAP_DB
     ratio = 10.0 * np.log10(target_energy / error_energy)
-    return float(np.clip(ratio, -cap_db, cap_db))
+    return float(np.clip(ratio, -SI_SDR_CAP_DB, SI_SDR_CAP_DB))
 
 
 def best_permutation_eval(estimates, references, mixture_ref=None):

@@ -222,7 +222,7 @@ def fibonacci_sphere(count):
     )
 
 
-def isotropic_noise(geometry, seconds, sample_rate=16000, directions=64, seed=0):
+def isotropic_noise(geometry, seconds, sample_rate=16000, seed=0):
     """Spherically isotropic noise at the array, unit variance per channel.
 
     Superimposes independent white plane waves from Fibonacci-sphere
@@ -232,14 +232,14 @@ def isotropic_noise(geometry, seconds, sample_rate=16000, directions=64, seed=0)
         raise ValueError("isotropic noise needs at least two microphones")
     rng = np.random.default_rng(seed)
     n = int(round(seconds * sample_rate))
-    dirs = fibonacci_sphere(directions)  # (D, 3)
+    dirs = fibonacci_sphere(64)  # (D, 3)
     # arrival-time advance per mic for a plane wave from direction u
     delays = -(dirs @ geometry.positions.T) / SPEED_OF_SOUND  # (D, J) seconds
     freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
     out = np.zeros((geometry.channel_count, len(freqs)), dtype=np.complex128)
-    for d in range(directions):
+    for delay in delays:
         spectrum = np.fft.rfft(rng.standard_normal(n))
-        out += spectrum * np.exp(-2.0j * np.pi * freqs * delays[d][:, np.newaxis])
+        out += spectrum * np.exp(-2.0j * np.pi * freqs * delay[:, np.newaxis])
     samples = np.fft.irfft(out, n=n, axis=1)
     samples /= np.std(samples, axis=1, keepdims=True)
     return MultichannelWave(samples=samples, sample_rate=sample_rate)

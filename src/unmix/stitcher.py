@@ -10,7 +10,7 @@ import numpy as np
 from . import parallel
 from .beamformer import beamform_window, window_covariances
 from .errors import InsufficientInputError, ShapeError
-from .masks import merge_heads_if_same_doa, normalize_masks
+from .masks import DOA_MERGE_THRESHOLD_DEG, merge_heads_if_same_doa, normalize_masks
 from .pit import PERMUTATIONS, permute_heads
 from .stft import Spectrogram
 
@@ -115,7 +115,7 @@ def separate_windows(
     plan,
     mode,
     geometry,
-    merge_threshold_deg=15.0,
+    merge_threshold_deg=DOA_MERGE_THRESHOLD_DEG,
     interference_mode="ssn",
 ):
     """Run the separation pipeline window by window.
@@ -196,7 +196,7 @@ def run_pipeline(
     plan,
     mode,
     geometry,
-    merge_threshold_deg=15.0,
+    merge_threshold_deg=DOA_MERGE_THRESHOLD_DEG,
     interference_mode="ssn",
 ):
     """separate_windows over a whole Spectrogram, collected into a pair of

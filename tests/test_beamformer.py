@@ -291,3 +291,63 @@ class TestBeamformWindow:
         for t in range(4):
             for f in range(5):
                 assert abs(out[t, f] - np.conj(w[f]) @ data[:, t, f]) < 1e-12
+
+
+def _per_head_beamform(window_data, mask_set, reference_index, covariances, frames):
+    """beamform_window as one pass of rank-1 target, Souden MVDR weights,
+    their application and the gain cap per speech head, written out here."""
+    data = window_data[:, frames]
+    ref_mag = np.abs(data[reference_index])
+    out = np.empty((2,) + data.shape[1:], dtype=np.complex128)
+    for i in range(2):
+        vals, vecs = covariances.values[i], covariances.vectors[i]
+        scaled = vecs[:, :, -1] * np.sqrt(np.maximum(vals[:, -1:], 0.0))
+        phi = scaled[:, :, np.newaxis] * np.conj(scaled[:, np.newaxis, :])
+        psi = covariances.psi[i]
+        j = psi.shape[1]
+        load = 1e-6 * np.maximum(np.real(np.trace(psi, axis1=1, axis2=2)), 1e-10) / j
+        z = np.linalg.solve(psi + load[:, np.newaxis, np.newaxis] * np.eye(j), phi)
+        denominator = np.trace(z, axis1=1, axis2=2)
+        w = np.zeros(psi.shape[:2], dtype=np.complex128)
+        active = np.abs(denominator) >= 1e-12
+        w[active] = z[:, :, reference_index][active] / denominator[active, np.newaxis]
+        y = (np.conj(w)[:, np.newaxis, :] @ np.transpose(data, (2, 0, 1)))[:, 0, :].T
+        cap = (mask_set.speech[i][frames] * ref_mag + 1e-10) / (np.abs(y) + 1e-10)
+        out[i] = y * np.minimum(1.0, cap)
+    return out
+
+
+class TestBeamformWindowStack:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        j=st.integers(2, 7),
+        frames=st.integers(1, 40),
+        bins_=st.integers(1, 20),
+        reference=st.integers(0, 6),
+        emitted=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        zero_head=st.sampled_from([None, 0, 1]),
+        mode=st.sampled_from(["ssn", "complement"]),
+        channel_innermost=st.booleans(),
+    )
+    def test_equals_one_pass_per_head(
+        self, seed, j, frames, bins_, reference, emitted, zero_head, mode, channel_innermost
+    ):
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((j, frames, bins_)) + 1j * rng.standard_normal(
+            (j, frames, bins_)
+        )
+        if channel_innermost:  # the layout of the windows the STFT makes
+            data = np.ascontiguousarray(np.transpose(data, (1, 2, 0))).transpose(2, 0, 1)
+        speech = rng.uniform(0, 0.5, (2, frames, bins_))
+        if zero_head is not None:
+            speech[zero_head] = 0.0
+        mset = MaskSet(speech=speech, noise=1.0 - speech.sum(axis=0))
+        lo = int(emitted[0] * (frames - 1))
+        emit = slice(lo, lo + 1 + int(emitted[1] * (frames - 1 - lo)))
+        covs = window_covariances(data, mset, mode)
+        out = beamform_window(data, mset, reference % j, covs, emit)
+        expected = _per_head_beamform(data, mset, reference % j, covs, emit)
+        np.testing.assert_array_equal(out, expected)
+        if zero_head is not None:
+            assert np.all(out[zero_head] == 0.0)

@@ -531,6 +531,18 @@ class TestSeparate:
         assert "wpe_update_interval" in err and "6 frames" in err and "12" in err, err
         assert not (tmp_path / "sep").exists()
 
+    def test_wpe_lengths_past_the_recording_act_as_the_recording(self, tmp_path, shared_scene):
+        def separate(setting):
+            outdir = tmp_path / setting
+            argv = ["separate", str(shared_scene / "mixture.wav"), str(outdir)]
+            argv += ["--truth-dir", str(shared_scene), "--set", "dereverb=true"]
+            assert main(argv + ["--set", setting]) == EXIT_OK
+            return [(outdir / f"out{i}.wav").read_bytes() for i in (0, 1)]
+
+        whole = separate("wpe_context=1000")
+        assert separate("wpe_context=1e308") == whole
+        assert separate("wpe_update_interval=1e308") == whole
+
     def test_dereverb_output_does_not_depend_on_worker_count(self, tmp_path, shared_scene):
         def separate(name):
             outdir = tmp_path / name
@@ -873,6 +885,18 @@ class TestEvaluate:
         write_wave(MultichannelWave(np.zeros((channels0, 4 * 16000)), 16000), est / "out0.wav")
         write_wave(MultichannelWave(np.zeros(samples1), rate1), est / "out1.wav")
         _assert_data_error(capsys, ["evaluate", str(est), str(shared_scene)])
+
+    @pytest.mark.parametrize("samples", [100, 300])
+    def test_estimates_shorter_than_one_frame_are_data_error(
+        self, tmp_path, capsys, shared_scene, samples
+    ):
+        est = tmp_path / "est"
+        est.mkdir()
+        for i in (0, 1):
+            write_wave(MultichannelWave(np.ones(samples), 16000), est / f"out{i}.wav")
+        err = _assert_data_error(capsys, ["evaluate", str(est), str(shared_scene)])
+        assert "512 samples" in err, err
+        assert sorted(p.name for p in est.iterdir()) == ["out0.wav", "out1.wav"]
 
     def test_nonexistent_estimates_dir_is_data_error(self, tmp_path):
         scene = _simulate(tmp_path)

@@ -405,11 +405,25 @@ class TestBeamformingStatistics:
         monkeypatch.setattr(
             np.linalg, "eigh", lambda a: eigh_shapes.append(a.shape) or eigh(a)
         )
+        # the MVDR chain runs once on the stack of both speech heads
+        stages = ["principal_component", "mvdr_weights", "apply_weights", "gain_adjust"]
+        stage_calls = {name: 0 for name in stages + ["_require_hermitian"]}
+
+        def counted(name, function):
+            def call(*args):
+                stage_calls[name] += 1
+                return function(*args)
+
+            return call
+
+        for name in stage_calls:
+            monkeypatch.setattr(beamformer, name, counted(name, getattr(beamformer, name)))
         out = run_pipeline(
             mixture, _oracle_provider(mixture, refs), self.plan, "beamforming", geometry
         )
         assert len(cov_calls) == 1
         assert eigh_shapes == [(2, mixture.bins, 7, 7)]
+        assert stage_calls == {**dict.fromkeys(stages, 1), "_require_hermitian": 3}
         assert all(np.sum(np.abs(o.data) ** 2) > 0.0 for o in out)  # not merged
 
     def test_merged_window_beamforms_from_the_merged_masks(self, rng, geometry):
