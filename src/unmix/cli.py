@@ -257,9 +257,10 @@ def cmd_separate(args):
         ref = geometry.reference_index
         source = reader.channel(ref)
         geometry = ArrayGeometry(positions=geometry.positions[[ref]], reference_index=0)
-    frames = StftFrames(source, config.stft)
-    provider = _make_provider(config, frames, reader, config.plan)
-    spec = WpeFrames(frames, config.wpe) if config.dereverb else frames
+    spec = StftFrames(source, config.stft)
+    provider = _make_provider(config, spec, reader, config.plan)
+    if config.dereverb:  # held by the WpeFrames alone, which lets it go once it is read
+        spec = WpeFrames(spec, config.wpe)
 
     # The streams are written as the windows are separated, under temporary
     # names that replace out0.wav/out1.wav only once both are complete; a
@@ -369,9 +370,13 @@ def cmd_evaluate(args):
         raise ConfigurationError("no evaluable scenes found")
     reports = {}
     failed_invariant = False
-    for name, est_dir, truth_dir in scene_pairs:
-        report = _evaluate_scene(est_dir, truth_dir, config)
-        reports[name] = report
+    for name, est_dir, truth_dir in scene_pairs:  # every scene is scored before any report
+        try:
+            reports[name] = _evaluate_scene(est_dir, truth_dir, config)
+        except UnmixError as exc:
+            raise type(exc)(f"scene {est_dir}: {exc}") from exc
+    for name, est_dir, _ in scene_pairs:
+        report = reports[name]
         if report.nonmixing_violation_rate and report.nonmixing_violation_rate > 0:
             failed_invariant = True
         (est_dir / "report.txt").write_text(report.to_kv_text())

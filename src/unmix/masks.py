@@ -9,6 +9,7 @@ from .beamformer import EPS, sig_cov, window_covariances
 from .errors import NoSignalError, ShapeError
 from .pit import permute_heads
 from .signal_io import SPEED_OF_SOUND, MaskFile
+from .stft import FrameSource
 
 DOA_GRID_DEG = 1.0  # azimuth step of the steering-vector grid
 DOA_BAND_HZ = (300.0, 4000.0)  # the speech band whose bins vote on a DOA
@@ -80,29 +81,31 @@ def steering_vectors(geometry, frequencies, azimuths_deg):
     return np.exp(phase, out=phase)
 
 
-_doa_grid_cache = {}  # holds only the latest (positions, band) entry
+_doa_grid_cache = {}  # holds only the latest (positions, frequencies) entry
 
 
-def _doa_grid(geometry, freqs):
-    """Azimuth grid and the conjugated steering vectors, scaled to unit norm
-    and laid out contiguously as (Fb, A, J), that DOA estimation matches
-    against.
+def doa_grid(geometry, freqs):
+    """What DOA estimation matches against, for bin frequencies freqs (Hz):
+    the mask of the bins in DOA_BAND_HZ, the azimuth grid, and the
+    conjugated steering vectors of those bins, scaled to unit norm and laid
+    out contiguously as (Fb, A, J).
 
-    Every window of a run asks for the same geometry and band, so the latest
-    grid is kept and rebuilt only when one of them changes. Windows on other
-    threads may build it at the same time: each returns the grid it found or
-    built.
+    Every window of a run asks for the same geometry and frequencies, so the
+    latest grid is kept and rebuilt only when one of them changes. Windows
+    on other threads may build it at the same time: each returns the grid it
+    found or built.
     """
     key = (geometry.positions.tobytes(), freqs.tobytes())
     grid = _doa_grid_cache.get(key)
     if grid is None:
+        band = (freqs >= DOA_BAND_HZ[0]) & (freqs <= DOA_BAND_HZ[1])
         azimuths = np.arange(0.0, 360.0, DOA_GRID_DEG)
-        steer = steering_vectors(geometry, freqs, azimuths)
+        steer = steering_vectors(geometry, freqs[band], azimuths)
         steer /= np.sqrt(steer.shape[2])  # in place: the layout change below copies
         np.conj(steer, out=steer)
         steer_conj = np.ascontiguousarray(np.swapaxes(steer, 0, 1))
-        steer_conj.flags.writeable = False
-        grid = (azimuths, steer_conj)
+        band.flags.writeable = steer_conj.flags.writeable = False
+        grid = (band, azimuths, steer_conj)
         _doa_grid_cache.clear()
         _doa_grid_cache[key] = grid
     return grid
@@ -118,8 +121,7 @@ def doa_from_eigenvectors(vectors, freqs, geometry):
     scores are summed over the band and the argmax azimuth returned: a float
     for one source, an array of the leading shape for a stack.
     """
-    band = (freqs >= DOA_BAND_HZ[0]) & (freqs <= DOA_BAND_HZ[1])
-    azimuths, steer_conj = _doa_grid(geometry, freqs[band])
+    band, azimuths, steer_conj = doa_grid(geometry, freqs)
     principal = vectors[..., -1][..., band, :]  # (..., Fb, J)
     match = steer_conj @ principal[..., np.newaxis]  # (..., Fb, A, 1)
     scores = np.abs(match[..., 0]) ** 2
@@ -184,8 +186,10 @@ class OracleMaskProvider:
 
     mixture, sources (pair) and noise are Spectrograms or StftFrames on the
     same frame grid; sources and noise are the per-output-stream images at
-    the reference microphone. Each window's masks are computed from that
-    window's frames alone, so windows are asked for in order.
+    the reference microphone. Each frame's masks are computed from that
+    frame alone, once: the masks of the frames a window shares with the
+    previous one are carried over, so windows are asked for in order. Window
+    0 starts a pass over the windows anew, which Spectrograms serve again.
     """
 
     def __init__(self, mixture, sources, noise):
@@ -194,16 +198,30 @@ class OracleMaskProvider:
         for s in [*sources, noise]:
             if (s.frame_count, s.bins) != (mixture.frame_count, mixture.bins):
                 raise ShapeError("source/noise shape does not match the mixture")
-        self._sources, self._noise = sources, noise
+        self._truth = (*sources, noise)
+        self._masks = _RatioMasks(self._truth)
 
     def mask_for_window(self, window_index, start, end):
-        mags = [np.abs(s.frames(start, end)[0]) for s in self._sources]
-        noise_mag = np.abs(self._noise.frames(start, end)[0])
-        total = mags[0] + mags[1] + noise_mag + EPS
-        return MaskSet(
-            speech=np.stack([mags[0] / total, mags[1] / total]),
-            noise=noise_mag / total,
-        )
+        if window_index == 0:
+            self._masks = _RatioMasks(self._truth)
+        masks = self._masks.frames(start, end)
+        return MaskSet(speech=masks[:2], noise=masks[2])
+
+
+class _RatioMasks(FrameSource):
+    """The ideal ratio masks of three one-channel frame sources (speech 0,
+    speech 1, noise), as the three channels of a frame source: each frame's
+    masks come from that frame of the three alone."""
+
+    def __init__(self, truth):
+        super().__init__(truth[0], truth[0].config, truth[0].frame_count)
+        self.channel_count, self._source = len(truth), truth
+        self._data = np.empty((self.channel_count, 0, self.bins))
+
+    def _next(self, lo, end):
+        mags = [np.abs(s.frames(lo, end)[0]) for s in self._source]
+        total = mags[0] + mags[1] + mags[2] + EPS
+        return np.stack([mag / total for mag in mags])
 
 
 class FileMaskProvider(MaskFile):

@@ -84,14 +84,14 @@ def ordered(jobs, ahead=None):
     """Yield the results of the zero-argument callables `jobs`, in order.
 
     The calling thread takes job n once the results before job n - `ahead`
-    are yielded; `ahead` is by default one per thread that runs jobs. Jobs
-    run on one helper thread per further CPU and on the calling thread, with
-    OpenBLAS held to one thread (one_blas_thread); while the oldest job is
-    unfinished, the calling thread runs the first one no helper has started.
-    The first job runs alone on the calling thread, so what it builds once
-    per run comes from this thread's heap (glibc gives each helper a heap of
-    its own, which keeps what it frees). Where no OpenBLAS thread setting is
-    found, every job runs on the calling thread.
+    are yielded. Jobs run on one helper thread per further CPU and on the
+    calling thread, with OpenBLAS held to one thread (one_blas_thread);
+    while the oldest job is unfinished, the calling thread runs the first
+    one no thread has started. With helpers, `ahead` is by default one more
+    than the threads that run jobs, so a job is queued for the first thread
+    to finish while the calling thread runs one or takes the next. Where no
+    OpenBLAS thread setting is found, or only one CPU, every job runs on the
+    calling thread and `ahead` is by default 1.
 
     An error in a job is raised when its result is due, in job order. No job
     is kept once it has run, so what only it holds is freed before its
@@ -109,18 +109,18 @@ def ordered(jobs, ahead=None):
 
     with one_blas_thread():
         spare = job_threads() - 1
-        ahead = ahead or spare + 1
+        ahead = ahead or (spare + 2 if spare else 1)
         try:
-            _take(jobs, 1, pending, unstarted)
+            _take(jobs, ahead, pending, unstarted)
+            for _ in range(min(spare, len(pending))):
+                helper = threading.Thread(target=serve, name="unmix-worker")
+                helper.start()
+                helpers.append(helper)
             while pending:
                 while not pending[0].done() and _run_next(unstarted, block=False):
                     pass
                 result = pending.popleft().result()
                 _take(jobs, ahead - len(pending), pending, unstarted)
-                while len(helpers) < min(spare, len(pending)):
-                    helper = threading.Thread(target=serve, name="unmix-worker")
-                    helper.start()
-                    helpers.append(helper)
                 yield result
         finally:
             try:  # drop the jobs not yet started

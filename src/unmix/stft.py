@@ -28,6 +28,9 @@ class StftConfig:
     def bins(self):
         return self.fft_size // 2 + 1
 
+    def bin_frequencies(self, sample_rate):
+        return np.arange(self.bins) * sample_rate / self.fft_size
+
     def window(self):
         # periodic hann; exact COLA at hop = window_size / 2
         n = np.arange(self.window_size)
@@ -72,7 +75,7 @@ class Spectrogram:
         return self.data.shape[2]
 
     def bin_frequencies(self):
-        return np.arange(self.bins) * self.sample_rate / self.config.fft_size
+        return self.config.bin_frequencies(self.sample_rate)
 
     def frames(self, start, end):
         """Frames [start, end), the frame interface FrameSource shares."""
@@ -90,7 +93,8 @@ class FrameSource:
     _next(lo, end), the frames [lo, hi) for some hi > lo. Frames a range
     shares with the previous one are carried over, only the frames past
     those made so far are asked of _next, and only the frames from the
-    latest start on are kept.
+    latest start on are kept. The source is read forward only, so it is
+    let go once the last frame is made.
     """
 
     def __init__(self, source, config, frame_count):
@@ -119,6 +123,8 @@ class FrameSource:
         # peak and could change the memory layout that later steps round by.
         self._data = np.concatenate(pieces, axis=1) if len(pieces) > 1 else (pieces or [kept])[0]
         self._start, self._end = start, made
+        if made == self.frame_count:
+            self._source = None
         return self._data[:, : end - start]
 
     def spectrogram(self):

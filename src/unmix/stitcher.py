@@ -10,7 +10,7 @@ import numpy as np
 from . import parallel
 from .beamformer import beamform_window, window_covariances
 from .errors import InsufficientInputError, ShapeError
-from .masks import DOA_MERGE_THRESHOLD_DEG, merge_heads_if_same_doa, normalize_masks
+from .masks import DOA_MERGE_THRESHOLD_DEG, doa_grid, merge_heads_if_same_doa, normalize_masks
 from .pit import PERMUTATIONS, permute_heads
 from .stft import Spectrogram
 
@@ -137,8 +137,12 @@ def separate_windows(
     a job that returns the window's masks, reference magnitude and output in
     the provider's head order (the permutation only reorders the outputs),
     then aligns and yields the windows in order. Beamforming jobs run on
-    every CPU through parallel.ordered. Masking jobs, each a small product,
-    run on the calling thread: each helper's own heap would add to the peak.
+    every CPU through parallel.ordered, with one window read past those
+    running, so no CPU waits for the calling thread to read the next; the
+    DOA steering grid they share (masks.doa_grid) is built on the calling
+    thread before the first window is read. Masking jobs, each a small
+    product, run on the calling thread: each helper's own heap would add to
+    the peak.
     """
     if mode not in ("masking", "beamforming"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -158,6 +162,10 @@ def separate_windows(
         job = functools.partial(_mask_unstitched, geometry.reference_index)
         results = (run() for run in jobs(job))
     else:
+        # The run's one steering grid, built before any window: on this
+        # thread, whose freed memory is at hand, not on a helper, whose heap
+        # of its own (glibc's) would add the grid's temporaries to the peak.
+        doa_grid(geometry, spec.config.bin_frequencies(spec.sample_rate))
         job = functools.partial(
             _beamform_unstitched, geometry, merge_threshold_deg, interference_mode
         )

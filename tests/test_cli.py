@@ -803,6 +803,24 @@ class TestEvaluate:
         assert aggregate["scenes"] == 2
         assert aggregate["mean_total_si_sdr"] == pytest.approx(np.mean(totals))
 
+    def test_a_failing_scene_is_named_and_no_scene_is_reported(
+        self, tmp_path, capsys, shared_scene
+    ):
+        est, truth = tmp_path / "est", tmp_path / "truth"
+        truth.mkdir()
+        for name in ("a", "b"):
+            (truth / name).symlink_to(shared_scene)
+        argv = ["separate", str(shared_scene / "mixture.wav"), str(est / "a")]
+        assert main(argv + ["--truth-dir", str(shared_scene)]) == EXIT_OK
+        (est / "b").mkdir()
+        for i in (0, 1):
+            write_wave(MultichannelWave(np.ones(100), 16000), est / "b" / f"out{i}.wav")
+        capsys.readouterr()
+        err = _assert_data_error(capsys, ["evaluate", str(est), str(truth)])
+        assert str(est / "b") in err and "512 samples" in err, err
+        written = [p.name for p in est.rglob("*") if p.suffix in (".txt", ".json")]
+        assert written == ["manifest.json"]
+
     def test_missing_estimates_is_data_error(self, tmp_path):
         scene = _simulate(tmp_path)
         empty = tmp_path / "empty"

@@ -1,5 +1,6 @@
 import threading
 import time
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -477,6 +478,19 @@ class TestWpeFrames:
         frames = WpeFrames(StftFrames(wave, WPE_STFT), config)
         for start, end in ranges:
             np.testing.assert_array_equal(frames.frames(start, end), expected[:, start:end])
+
+    @pytest.mark.parametrize("frames", [50, 130])  # within one context, and past it
+    def test_the_stft_frames_are_let_go_once_the_last_block_is_served(self, frames):
+        samples = (frames - 1) * WPE_STFT.hop + WPE_STFT.window_size
+        wave = MultichannelWave(np.random.default_rng(frames).standard_normal((2, samples)), 16000)
+        config = WpeConfig(taps=2, delay=1, iterations=1, update_interval=0.005, context=0.015)
+        stft = StftFrames(wave, WPE_STFT)
+        stft_alive = weakref.ref(stft)
+        wpe = WpeFrames(stft, config)  # 20-frame blocks on 60-frame contexts
+        del stft
+        for lo in range(0, frames, 10):
+            wpe.frames(lo, lo + 10)
+        assert stft_alive() is None
 
     def test_out_of_order_range_raises(self):
         wave = MultichannelWave(np.ones((1, 400)), 16000)

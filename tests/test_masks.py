@@ -8,6 +8,7 @@ from unmix.errors import NoSignalError, ShapeError
 from unmix.masks import (
     EPS,
     MaskSet,
+    OracleMaskProvider,
     circular_difference_deg,
     doa_from_eigenvectors,
     estimate_doa,
@@ -70,6 +71,38 @@ class TestOracleMasks:
         b = oracle_masks(_mono_spec(mix), [_mono_spec(s1), _mono_spec(s0)], _mono_spec(n))
         np.testing.assert_array_equal(a.speech[0], b.speech[1])
         np.testing.assert_array_equal(a.speech[1], b.speech[0])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_windows_in_order_match_each_window_computed_alone(self, seed):
+        rng = np.random.default_rng(seed)
+        frames, bins_ = 120, StftConfig().bins
+        data = rng.standard_normal((3, frames, bins_)) + 1j * rng.standard_normal((3, frames, bins_))
+        asked = []  # the frame ranges asked of each truth source
+
+        class Truth:
+            def __init__(self, i):
+                self.spec, self.i = _mono_spec(data[i]), i
+
+            def __getattr__(self, name):
+                return getattr(self.spec, name)
+
+            def frames(self, start, end):
+                asked.append((self.i, start, end))
+                return self.spec.frames(start, end)
+
+        truth = [Truth(i) for i in range(3)]
+        provider = OracleMaskProvider(_mono_spec(data.sum(axis=0)), truth[:2], truth[2])
+        starts = np.sort(rng.integers(0, frames, 10))
+        for c, lo in enumerate(starts):
+            hi = int(rng.integers(lo, frames + 1))
+            mset = provider.mask_for_window(c, lo, hi)
+            mags = np.abs(data[:, lo:hi])
+            total = mags[0] + mags[1] + mags[2] + EPS
+            np.testing.assert_array_equal(mset.speech, np.stack([mags[0] / total, mags[1] / total]))
+            np.testing.assert_array_equal(mset.noise, mags[2] / total)
+        for i in range(3):  # each truth frame is asked for once, in order
+            ranges = [(lo, hi) for j, lo, hi in asked if j == i]
+            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
 
     def test_shape_mismatch_raises(self, rng):
         bins_ = StftConfig().bins

@@ -126,24 +126,6 @@ class TestOrdered:
         assert blas.threads == 8
         assert len(ran) < 10
 
-    def test_the_first_job_runs_alone_on_the_calling_thread(self, blas, monkeypatch):
-        _workers(monkeypatch, 4)
-        events = []
-
-        def job(i):
-            events.append(("start", i, _on_main(), len(_helper_threads())))
-            time.sleep(0.01)
-            events.append(("end", i))
-            return i
-
-        def jobs():
-            for i in range(8):
-                events.append(("taken", i))
-                yield functools.partial(job, i)
-
-        assert list(ordered(jobs())) == list(range(8))
-        assert events[:3] == [("taken", 0), ("start", 0, True, 0), ("end", 0)]
-
     def test_without_a_blas_thread_setting_every_job_runs_on_the_calling_thread(
         self, monkeypatch
     ):
@@ -176,6 +158,27 @@ class TestOrdered:
             yielded += 1
         assert yielded == len(delays)
         assert max(lead) == ahead
+
+    @pytest.mark.parametrize("pinned, lookahead", [(True, 3), (False, 1)])
+    def test_by_default_one_job_is_taken_past_those_the_threads_run(
+        self, blas, monkeypatch, pinned, lookahead
+    ):
+        if not pinned:  # the calling thread runs every job: one more would only hold memory
+            monkeypatch.setattr(unmix.parallel, "blas_thread_calls", lambda: None)
+        _workers(monkeypatch, 2)
+        delays = np.random.default_rng(11).uniform(0.0, 0.01, 30)
+        yielded = 0
+        lead = []  # per job taken: its index less the results yielded by then
+
+        def jobs():
+            for i, delay in enumerate(delays):
+                lead.append(i - yielded)
+                yield functools.partial(time.sleep, delay)
+
+        for _ in ordered(jobs()):
+            yielded += 1
+        assert yielded == len(delays)
+        assert max(lead) == lookahead
 
     @pytest.mark.parametrize("pinned", [True, False])
     def test_a_job_is_freed_before_its_result_is_yielded(self, blas, monkeypatch, pinned):

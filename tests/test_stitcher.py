@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import unmix.masks
 import unmix.parallel
 import unmix.stitcher
 from unmix import beamformer
@@ -526,6 +527,29 @@ class TestBeamformingPipeline:
         for (lo, hi, frames), (_, _, expected) in zip(threaded, serial):
             assert frames.shape == (2, hi - lo, mixture.bins)
             np.testing.assert_array_equal(frames, expected)
+
+    def test_the_steering_grid_is_built_on_the_calling_thread_before_any_window(
+        self, scene, monkeypatch
+    ):
+        begun, built = [], []  # built: per grid, (on the calling thread, a window begun)
+        steering, beamform = unmix.masks.steering_vectors, unmix.stitcher._beamform_unstitched
+
+        def recording_steering(*args):
+            built.append((threading.current_thread() is threading.main_thread(), bool(begun)))
+            return steering(*args)
+
+        def recording_beamform(*args):
+            begun.append(threading.current_thread().name)
+            return beamform(*args)
+
+        monkeypatch.setattr(unmix.masks, "steering_vectors", recording_steering)
+        monkeypatch.setattr(unmix.masks, "_doa_grid_cache", {})
+        monkeypatch.setattr(unmix.stitcher, "_beamform_unstitched", recording_beamform)
+        fake_blas = (lambda: 1, lambda n: None)  # with which beamforming starts helpers
+        monkeypatch.setattr(unmix.parallel, "blas_thread_calls", lambda: fake_blas)
+        self._windows(scene, 2)
+        assert built == [(True, False)]
+        assert any(name.startswith("unmix-worker") for name in begun)
 
     def test_error_in_a_helper_window_reaches_the_caller(self, scene, monkeypatch):
         threads = threading.active_count()
