@@ -48,26 +48,27 @@ EXIT_INVARIANT = 3
 
 
 def cmd_simulate(args):
-    scene = load_scene_spec(args.scene)
-    room = scene.room()
-    mix_spec = scene.mixture_spec()
-    rng_seed = scene.seed
+    room, mix_spec = load_scene_spec(args.scene)
+    count = len(room.source_positions)
+    source_wavs = args.source_wav or []
+    if len(source_wavs) > count:
+        raise ConfigurationError(
+            f"{len(source_wavs)} --source-wav files given, the scene has {count} source(s)"
+        )
     sources = []
-    for k in range(len(scene.source_positions)):
-        if args.source_wav and k < len(args.source_wav):
-            wave = read_wave(args.source_wav[k])
+    for k in range(count):
+        if k < len(source_wavs):
+            wave = read_wave(source_wavs[k])
             # make_mixture renders at its default 16 kHz
             if wave.sample_rate != 16000 or wave.channel_count != 1:
                 raise FormatError(
-                    f"source WAV {args.source_wav[k]} must be mono at 16000 Hz, "
+                    f"source WAV {source_wavs[k]} must be mono at 16000 Hz, "
                     f"got {wave.channel_count} channels at {wave.sample_rate} Hz"
                 )
             sources.append(wave.samples[0])
         else:
-            length = scene.duration * (0.8 if k == 0 else 0.5)
-            sources.append(
-                speech_like_source(length, seed=rng_seed * 1000 + k)
-            )
+            length = mix_spec.clip_seconds * (0.8 if k == 0 else 0.5)
+            sources.append(speech_like_source(length, seed=mix_spec.seed * 1000 + k))
     mixture, truth = make_mixture(mix_spec, room, sources)
 
     outdir = Path(args.output)
@@ -94,9 +95,9 @@ def cmd_simulate(args):
         "assignment": list(truth.assignment),
         "activity_samples": [list(seg) for seg in truth.activity],
         "configuration": mix_spec.configuration,
-        "t60": scene.t60,
-        "snr_db": None if not has_noise else scene.snr_db,
-        "seed": scene.seed,
+        "t60": room.t60,
+        "snr_db": None if not has_noise else mix_spec.noise_snr_db,
+        "seed": mix_spec.seed,
     }
     (outdir / "truth.json").write_text(json.dumps(meta, indent=2))
     log.info("wrote scene to %s", outdir)

@@ -49,59 +49,9 @@ def _floats(text):
     return [float(v) for v in text.split()]
 
 
-@dataclass
-class SceneSpec:
-    """Declarative scene description consumed by the simulate command."""
-
-    room_dim: np.ndarray
-    t60: float
-    array_center: np.ndarray
-    source_positions: np.ndarray
-    configuration: str
-    snr_db: float
-    duration: float
-    seed: int
-    gains_db: tuple
-    array_radius: float = 0.0425
-
-    def __post_init__(self):
-        numbers = [self.t60, self.duration, self.array_radius, *self.gains_db]
-        numbers += [*self.room_dim, *self.array_center, *self.source_positions.ravel()]
-        if not np.all(np.isfinite(numbers)) or np.isnan(self.snr_db):
-            raise ValueError("scene values must be finite (snr_db may be inf)")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        self.mixture_spec()  # MixtureSpec checks the configuration and duration
-        sources = 1 if self.configuration == "single" else 2
-        if len(self.source_positions) != sources:
-            raise ValueError(
-                f"{self.configuration!r} configuration takes {sources} source(s), "
-                f"got {len(self.source_positions)}"
-            )
-        if len(self.gains_db) != sources:
-            raise ValueError(f"gains_db needs {sources} value(s), got {len(self.gains_db)}")
-        self.room()  # RoomSpec checks t60 and that the sources and array fit the room
-
-    def room(self):
-        return RoomSpec(
-            dimensions=self.room_dim,
-            t60=self.t60,
-            source_positions=self.source_positions,
-            array_center=self.array_center,
-            array_geometry=circular_array(radius=self.array_radius),
-        )
-
-    def mixture_spec(self):
-        return MixtureSpec(
-            configuration=self.configuration,
-            utterance_gains_db=self.gains_db,
-            noise_snr_db=self.snr_db,
-            clip_seconds=self.duration,
-            seed=self.seed,
-        )
-
-
 def load_scene_spec(path):
+    """The (RoomSpec, MixtureSpec) of a scene file. The specs check their own
+    values; this checks the keys and the counts that `config` sets."""
     values = parse_kv_file(path)
     for key, value in values.items():
         if isinstance(value, list) and key != "source":
@@ -111,23 +61,37 @@ def load_scene_spec(path):
         if not isinstance(sources, list):
             sources = [sources]
         gains = values.get("gains_db")
-        gains = tuple(_floats(gains)) if gains else (0.0,) * len(sources)
-        return SceneSpec(
-            room_dim=np.array(_floats(values["room_dim"])),
-            t60=float(values.get("t60", "0.3")),
-            array_center=np.array(_floats(values["array_center"])),
-            source_positions=np.array([_floats(s) for s in sources]),
+        mix = MixtureSpec(
             configuration=values.get("config", "single"),
-            snr_db=float(values.get("snr_db", "20")),
-            duration=float(values.get("duration", "10")),
+            utterance_gains_db=tuple(_floats(gains)) if gains else (0.0,) * len(sources),
+            noise_snr_db=float(values.get("snr_db", "20")),
+            clip_seconds=float(values.get("duration", "10")),
             seed=int(values.get("seed", "0")),
-            gains_db=gains,
-            array_radius=float(values.get("array_radius", "0.0425")),
+        )
+        count = 1 if mix.configuration == "single" else 2
+        if len(sources) != count:
+            raise ValueError(
+                f"{mix.configuration!r} configuration takes {count} source(s), got {len(sources)}"
+            )
+        if len(mix.utterance_gains_db) != count:
+            raise ValueError(
+                f"gains_db needs {count} value(s), got {len(mix.utterance_gains_db)}"
+            )
+        radius = float(values.get("array_radius", "0.0425"))
+        if not np.isfinite(radius):
+            raise ValueError(f"array_radius must be finite, got {radius}")
+        room = RoomSpec(
+            dimensions=_floats(values["room_dim"]),
+            t60=float(values.get("t60", "0.3")),
+            source_positions=[_floats(s) for s in sources],
+            array_center=_floats(values["array_center"]),
+            array_geometry=circular_array(radius=radius),
         )
     except KeyError as exc:
         raise ConfigurationError(f"{path}: missing required field {exc}") from exc
     except ValueError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
+    return room, mix
 
 
 @dataclass

@@ -16,6 +16,19 @@ def permute_heads(heads, permutation):
     return heads if tuple(permutation) == (0, 1) else heads[::-1]
 
 
+def alignment_cost(prev_overlap, curr_overlap, permutation):
+    """Sum of squared differences between two head stacks, the second in
+    `permutation` order: the stitcher's cost between adjacent windows'
+    masked reference magnitudes over their overlapping frames, and the PIT
+    loss of one permutation."""
+    prev_overlap = np.asarray(prev_overlap, dtype=np.float64)
+    curr_overlap = np.asarray(curr_overlap, dtype=np.float64)
+    if prev_overlap.shape != curr_overlap.shape:
+        raise ShapeError("overlap regions must share a shape")
+    diff = prev_overlap - permute_heads(curr_overlap, permutation)
+    return float(np.sum(np.square(diff, out=diff)))
+
+
 @dataclass
 class PitResult:
     loss: float
@@ -46,10 +59,8 @@ def pit_loss(speech_masks, mixture_ref_mag, source_mags):
     _check_aligned(speech_masks[0], speech_masks[1], mixture_ref_mag, *sources)
 
     estimates = speech_masks * mixture_ref_mag  # (2, T, F)
-    losses = []
-    for perm in PERMUTATIONS:
-        residual = estimates - np.stack([sources[perm[0]], sources[perm[1]]])
-        losses.append(float(np.sum(residual**2)))
+    targets = np.stack(sources)
+    losses = [alignment_cost(estimates, targets, perm) for perm in PERMUTATIONS]
     best = 0 if losses[0] <= losses[1] else 1
     return PitResult(
         loss=losses[best],

@@ -333,12 +333,6 @@ def write_mask_file(path, mask_sets, hop_frames):
             fh.write(stacked.astype("<f4").tobytes())
 
 
-def read_mask_file(path):
-    """Read a whole mask container; returns (list of MaskSet, hop_frames)."""
-    container = MaskFile(path)
-    return list(container), container.hop_frames
-
-
 class MaskFile(Sequence):
     """A mask container opened for window reads.
 

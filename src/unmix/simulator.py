@@ -30,6 +30,10 @@ class RoomSpec:
             np.asarray(self.source_positions, dtype=np.float64)
         )
         self.array_center = np.asarray(self.array_center, dtype=np.float64)
+        numbers = [self.t60, *self.dimensions, *self.array_center]
+        numbers += [*self.source_positions.ravel(), *self.array_geometry.positions.ravel()]
+        if not np.all(np.isfinite(numbers)):
+            raise ValueError("room dimensions, t60, positions and array geometry must be finite")
         if self.t60 < 0:
             raise ValueError("t60 must be nonnegative")
         for pos in self.source_positions:
@@ -54,6 +58,12 @@ class MixtureSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.clip_seconds, *self.utterance_gains_db])):
+            raise ValueError("clip_seconds and utterance_gains_db must be finite")
+        if self.noise_snr_db is not None and not self.noise_snr_db > -np.inf:  # NaN fails too
+            raise ValueError(f"noise_snr_db must be finite, inf or None, got {self.noise_snr_db}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.configuration not in CONFIGURATIONS:
             raise ValueError(
                 f"unknown configuration {self.configuration!r}; expected one of {CONFIGURATIONS}"

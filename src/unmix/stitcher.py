@@ -11,7 +11,7 @@ from . import parallel
 from .beamformer import beamform_window, window_covariances
 from .errors import InsufficientInputError, ShapeError
 from .masks import DOA_MERGE_THRESHOLD_DEG, doa_grid, merge_heads_if_same_doa, normalize_masks
-from .pit import PERMUTATIONS, permute_heads
+from .pit import PERMUTATIONS, alignment_cost, permute_heads
 from .stft import Spectrogram
 
 
@@ -59,17 +59,6 @@ def plan_windows(total_frames, plan):
         windows.append((start, end))
         start += plan.hop_frames
     return windows
-
-
-def alignment_cost(prev_overlap, curr_overlap, permutation):
-    """Sum of squared differences between adjacent windows' separated signals
-    (masked reference magnitudes) over the overlapping frames."""
-    prev_overlap = np.asarray(prev_overlap, dtype=np.float64)
-    curr_overlap = np.asarray(curr_overlap, dtype=np.float64)
-    if prev_overlap.shape != curr_overlap.shape:
-        raise ShapeError("overlap regions must share a shape")
-    diff = prev_overlap - permute_heads(curr_overlap, permutation)
-    return float(np.sum(np.square(diff, out=diff)))
 
 
 def align_and_emit(state, window_masks, window_ref_mag, window_range):

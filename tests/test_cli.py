@@ -273,12 +273,32 @@ class TestSimulate:
         _assert_data_error(capsys, argv + ["--source-wav", str(source)])
 
     @pytest.mark.parametrize(
-        "old, new", [("duration = 4", "duration = 20"), ("config = sequential", "config = single")]
+        "old, new",
+        [
+            ("duration = 4", "duration = 20"),
+            ("config = sequential", "config = single"),
+            ("t60 = 0.15", "t60 = nan"),
+            ("seed = 3", "seed = 3\narray_radius = inf"),
+            ("seed = 3", "seed = -1"),
+            ("seed = 3", "seed = 3\ngains_db = 0 inf"),
+        ],
     )
     def test_scene_checks_run_at_load(self, tmp_path, capsys, old, new):
         spec = tmp_path / "scene.cfg"
         spec.write_text(SCENE.replace(old, new))
         _assert_data_error(capsys, ["simulate", str(spec), str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
+    def test_more_source_wavs_than_sources_is_data_error(self, tmp_path, capsys, rng):
+        spec = tmp_path / "scene.cfg"
+        spec.write_text(SCENE_NO_NOISE)
+        argv = ["simulate", str(spec), str(tmp_path / "out")]
+        for k in range(3):
+            source = tmp_path / f"source{k}.wav"
+            write_wave(MultichannelWave(rng.uniform(-0.5, 0.5, (1, 16000)), 16000), source)
+            argv += ["--source-wav", str(source)]
+        err = _assert_data_error(capsys, argv)
+        assert "3 --source-wav" in err and "1 source" in err, err
         assert not (tmp_path / "out").exists()
 
     def test_output_path_that_is_a_file_is_data_error(self, tmp_path, capsys):

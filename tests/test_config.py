@@ -9,6 +9,7 @@ from unmix.config import (
     pipeline_config_text,
 )
 from unmix.errors import ConfigurationError, FormatError
+from unmix.signal_io import circular_array
 
 
 def _write(tmp_path, text, name="file.cfg"):
@@ -62,26 +63,31 @@ seed = 3
 
 class TestSceneSpec:
     def test_full_parse(self, tmp_path):
-        scene = load_scene_spec(_write(tmp_path, SCENE_TEXT))
-        np.testing.assert_array_equal(scene.room_dim, [6.0, 5.0, 3.0])
-        assert scene.t60 == 0.25
-        assert scene.source_positions.shape == (2, 3)
-        assert scene.configuration == "partial_overlap"
-        assert scene.snr_db == 15.0
-        assert scene.duration == 4.0
-        assert scene.seed == 3
-        assert scene.gains_db == (0.0, 0.0)
+        room, mix = load_scene_spec(_write(tmp_path, SCENE_TEXT))
+        np.testing.assert_array_equal(room.dimensions, [6.0, 5.0, 3.0])
+        assert room.t60 == 0.25
+        np.testing.assert_array_equal(room.array_center, [3.0, 2.5, 1.4])
+        np.testing.assert_array_equal(room.source_positions, [[1.5, 2.5, 1.5], [4.0, 1.5, 1.5]])
+        assert mix.configuration == "partial_overlap"
+        assert mix.noise_snr_db == 15.0
+        assert mix.clip_seconds == 4.0
+        assert mix.seed == 3
+        assert mix.utterance_gains_db == (0.0, 0.0)
 
     def test_defaults(self, tmp_path):
-        scene = load_scene_spec(
+        room, mix = load_scene_spec(
             _write(
                 tmp_path,
                 "room_dim = 4 4 3\narray_center = 2 2 1\nsource = 1 1 1\n",
             )
         )
-        assert scene.configuration == "single"
-        assert scene.t60 == 0.3
-        assert scene.array_radius == 0.0425
+        assert mix.configuration == "single"
+        assert mix.utterance_gains_db == (0.0,)
+        assert mix.noise_snr_db == 20.0
+        assert mix.clip_seconds == 10.0
+        assert mix.seed == 0
+        assert room.t60 == 0.3
+        np.testing.assert_array_equal(room.array_geometry.positions, circular_array().positions)
 
     def test_missing_required_field(self, tmp_path):
         path = _write(tmp_path, "room_dim = 4 4 3\nsource = 1 1 1\n")
@@ -111,11 +117,14 @@ class TestSceneSpec:
             ("duration = 4", "duration = 20", "clip_seconds"),
             ("config = partial_overlap", "config = single", "takes 1 source"),
             ("seed = 3", "seed = 3\ngains_db = 0 -3 -6", "gains_db"),
+            ("seed = 3", "seed = 3\ngains_db = 0 inf", "gains_db must be finite"),
             ("t60 = 0.25", "t60 = -1", "t60"),
             ("t60 = 0.25", "t60 = nan", "finite"),
             ("t60 = 0.25", "t60 = inf", "finite"),
             ("room_dim = 6.0 5.0 3.0", "room_dim = 6.0 5.0 nan", "finite"),
+            ("seed = 3", "seed = 3\narray_radius = inf", "array_radius must be finite"),
             ("snr_db = 15", "snr_db = nan", "finite"),
+            ("snr_db = 15", "snr_db = -inf", "noise_snr_db"),
             ("seed = 3", "seed = -1", "seed"),
             ("duration = 4", "duration = 4\nduration = 3", "more than once"),
         ],
@@ -126,10 +135,12 @@ class TestSceneSpec:
             load_scene_spec(path)
 
     def test_room_construction(self, tmp_path):
-        scene = load_scene_spec(_write(tmp_path, SCENE_TEXT))
-        room = scene.room()
-        assert room.t60 == 0.25
+        room, _ = load_scene_spec(_write(tmp_path, SCENE_TEXT + "array_radius = 0.05\n"))
         assert room.array_geometry.channel_count == 7
+        np.testing.assert_array_equal(
+            room.array_geometry.positions, circular_array(radius=0.05).positions
+        )
+        np.testing.assert_array_equal(room.mic_positions()[0], [3.0, 2.5, 1.4])
 
 
 class TestPipelineConfig:

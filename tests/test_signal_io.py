@@ -15,9 +15,9 @@ from unmix.signal_io import (
     _BLOCK_SAMPLES,
     MultichannelWave,
     WaveReader,
+    MaskFile,
     WaveWriter,
     circular_array,
-    read_mask_file,
     read_wave,
     write_mask_file,
     write_wave,
@@ -58,7 +58,7 @@ def test_truncated_header_is_format_error(tmp_path):
 
 
 def test_missing_file_is_format_error(tmp_path):
-    for read in (read_wave, read_mask_file):
+    for read in (read_wave, MaskFile):
         with pytest.raises(FormatError, match="absent"):
             read(tmp_path / "absent")
 
@@ -276,8 +276,8 @@ def test_mask_container_round_trip(tmp_path, rng):
     sets = _random_mask_sets(rng, windows=3, frames=10, bins=17)
     path = tmp_path / "masks.umxm"
     write_mask_file(path, sets, hop_frames=4)
-    back, hop = read_mask_file(path)
-    assert hop == 4
+    back = MaskFile(path)
+    assert back.hop_frames == 4
     assert len(back) == 3
     for orig, copy in zip(sets, back):
         # float32 is the container precision
@@ -299,8 +299,9 @@ def test_mask_container_round_trip_returns_float32_masks_and_hop(masks, hop):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "masks.umxm"
         write_mask_file(path, sets, hop_frames=hop)
-        back, hop_back = read_mask_file(path)
-    assert hop_back == hop
+        container = MaskFile(path)
+        back = list(container)
+    assert container.hop_frames == hop
     assert len(back) == len(sets)
     expected = masks.astype(np.float32).astype(np.float64)
     for c, mset in enumerate(back):
@@ -312,7 +313,7 @@ def test_mask_container_shapes(tmp_path, rng):
     sets = _random_mask_sets(rng, windows=2, frames=150, bins=257)
     path = tmp_path / "m.umxm"
     write_mask_file(path, sets, hop_frames=38)
-    back, _ = read_mask_file(path)
+    back = MaskFile(path)
     assert all(s.speech.shape == (2, 150, 257) for s in back)
 
 
@@ -325,7 +326,7 @@ def test_all_ones_head_passes(tmp_path):
     ]
     path = tmp_path / "m.umxm"
     write_mask_file(path, sets, hop_frames=2)
-    back, _ = read_mask_file(path)
+    back = MaskFile(path)
     assert np.all(back[0].speech[0] == 1.0)
     assert np.all(back[0].speech[1] == 0.0)
 
@@ -339,7 +340,7 @@ def test_out_of_range_mask_value_raises(tmp_path):
     raw[header : header + 4] = np.array([1.5], dtype="<f4").tobytes()
     path.write_bytes(bytes(raw))
     with pytest.raises(RangeError):
-        read_mask_file(path)
+        MaskFile(path)
 
 
 @pytest.mark.parametrize("bad", [-0.25, np.nan])
@@ -352,14 +353,14 @@ def test_negative_or_nan_mask_value_in_a_later_window_raises(tmp_path, bad):
     raw[at : at + 4] = np.array([bad], dtype="<f4").tobytes()
     path.write_bytes(bytes(raw))
     with pytest.raises(RangeError):
-        read_mask_file(path)
+        MaskFile(path)
 
 
 def test_empty_container_is_format_error(tmp_path):
     path = tmp_path / "m.umxm"
     path.write_bytes(struct.pack("<4sIIIIII", b"UMXM", 1, 3, 150, 257, 0, 38))
     with pytest.raises(FormatError, match="no windows"):
-        read_mask_file(path)
+        MaskFile(path)
 
 
 def test_payload_size_mismatch_raises(tmp_path):
@@ -369,7 +370,7 @@ def test_payload_size_mismatch_raises(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(FormatError):
-        read_mask_file(path)
+        MaskFile(path)
 
 
 def test_circular_array_layout():

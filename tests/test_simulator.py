@@ -28,6 +28,52 @@ def _room(t60=0.3, sources=((1.5, 2.5, 1.5), (4.0, 1.5, 1.5))):
     )
 
 
+class TestSpecChecks:
+    """The specs check their own values, whoever builds them."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "field", ["t60", "dimensions", "source_positions", "array_center", "array_geometry"]
+    )
+    def test_room_rejects_non_finite_values(self, field, bad):
+        kwargs = {
+            "dimensions": [6.0, 5.0, 3.0],
+            "t60": 0.3,
+            "source_positions": [[1.5, 2.5, 1.5]],
+            "array_center": [3.0, 3.0, 1.4],
+        }
+        if field == "t60":
+            kwargs["t60"] = bad
+        elif field == "array_geometry":
+            positions = circular_array().positions.copy()
+            positions[1, 0] = bad
+            kwargs["array_geometry"] = ArrayGeometry(positions=positions)
+        else:
+            kwargs[field] = np.array(kwargs[field])
+            kwargs[field][..., -1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            RoomSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"clip_seconds": np.nan},
+            {"clip_seconds": np.inf},
+            {"utterance_gains_db": (0.0, np.nan)},
+            {"utterance_gains_db": (-np.inf, 0.0)},
+            {"noise_snr_db": np.nan},
+            {"noise_snr_db": -np.inf},
+        ],
+    )
+    def test_mixture_rejects_non_finite_values(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            MixtureSpec(**kwargs)
+
+    def test_mixture_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            MixtureSpec(seed=-1)
+
+
 class TestImageMethodRir:
     def test_anechoic_is_single_impulse_with_inverse_law(self):
         room = _room(t60=0.0)
