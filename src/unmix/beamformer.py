@@ -46,19 +46,17 @@ def sig_cov(window_data, masks):
 class WindowCovariances:
     """Masked spatial statistics of one window, in speech-head order.
 
-    phi: (2, bins, J, J) speech covariances; psi: (2, bins, J, J) the
-    interference covariance of each head; values (2, bins, J) and vectors
-    (2, bins, J, J): np.linalg.eigh(phi), eigenvalues ascending.
+    psi: (2, bins, J, J) the interference covariance of each head; value
+    (2, bins) and vector (2, bins, J): each speech head's principal_pair.
     """
 
-    phi: np.ndarray
     psi: np.ndarray
-    values: np.ndarray
-    vectors: np.ndarray
+    value: np.ndarray
+    vector: np.ndarray
 
 
 def window_covariances(window_data, mask_set, interference_mode="ssn"):
-    """The covariance stack of one window and the eigendecomposition of its
+    """The covariance stack of one window and the principal eigenpairs of its
     speech heads, computed once and shared by the DOA merge and the MVDR.
 
     interference_mode "ssn" builds [speech 0, speech 1, noise] and uses
@@ -75,22 +73,26 @@ def window_covariances(window_data, mask_set, interference_mode="ssn"):
         psi = cov[2:]
     else:
         raise ValueError(f"unknown interference_mode {interference_mode!r}")
-    phi = cov[:2]
-    values, vectors = np.linalg.eigh(phi)
-    return WindowCovariances(phi, psi, values, vectors)
+    return WindowCovariances(psi, *principal_pair(cov[:2]))
 
 
-def principal_component(cov, eigenpairs=None):
-    """Rank-1 reduction of covariances (..., bins, J, J) to lambda_max v v^H
-    per frequency. eigenpairs: np.linalg.eigh(cov), when the caller has it.
+def principal_pair(cov):
+    """The largest eigenvalue (..., bins) and its unit eigenvector (..., bins,
+    J) of Hermitian speech covariances (..., bins, J, J): views of the last
+    column of np.linalg.eigh, whose eigenvalues ascend."""
+    _require_hermitian(cov, "speech")
+    values, vectors = np.linalg.eigh(cov)
+    return values[..., -1], vectors[..., -1]
+
+
+def principal_component(value, vector):
+    """Rank-1 covariances lambda v v^H (..., bins, J, J) of a principal_pair.
 
     Used to denoise the target covariance before the MVDR solve: the masked
     estimate of a (near) point source is rank-1 plus estimation noise, and
     keeping only the principal eigenpair removes most of that noise.
     """
-    _require_hermitian(cov, "target")
-    vals, vecs = np.linalg.eigh(cov) if eigenpairs is None else eigenpairs
-    scaled = vecs[..., -1] * np.sqrt(np.maximum(vals[..., -1:], 0.0))
+    scaled = vector * np.sqrt(np.maximum(value, 0.0))[..., np.newaxis]
     return scaled[..., :, np.newaxis] * np.conj(scaled[..., np.newaxis, :])
 
 
@@ -158,7 +160,7 @@ def beamform_window(window_data, mask_set, reference_index, covariances, frames=
     come from the whole window and are applied to its `frames`, a slice.
     Returns (2, the selected frames, bins) complex.
     """
-    target = principal_component(covariances.phi, (covariances.values, covariances.vectors))
+    target = principal_component(covariances.value, covariances.vector)
     weights = mvdr_weights(target, covariances.psi, reference_index)
     data = window_data[:, frames]
     beamformed = apply_weights(weights, data)

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dereverb import WpeConfig
-from .errors import ConfigurationError, FormatError
+from .errors import ConfigurationError, FormatError, GeometryError
 from .masks import DOA_MERGE_THRESHOLD_DEG
 from .signal_io import ArrayGeometry, circular_array
 from .stft import StftConfig
@@ -78,8 +78,8 @@ def load_scene_spec(path):
                 f"gains_db needs {count} value(s), got {len(mix.utterance_gains_db)}"
             )
         radius = float(values.get("array_radius", "0.0425"))
-        if not np.isfinite(radius):
-            raise ValueError(f"array_radius must be finite, got {radius}")
+        if not (np.isfinite(radius) and radius > 0):
+            raise ValueError(f"array_radius must be finite and > 0, got {radius}")
         room = RoomSpec(
             dimensions=_floats(values["room_dim"]),
             t60=float(values.get("t60", "0.3")),
@@ -91,6 +91,8 @@ def load_scene_spec(path):
         raise ConfigurationError(f"{path}: missing required field {exc}") from exc
     except ValueError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
+    except GeometryError as exc:
+        raise GeometryError(f"{path}: {exc}") from exc
     return room, mix
 
 

@@ -11,6 +11,8 @@ from . import parallel
 from .errors import ConfigurationError, InsufficientInputError
 from .stft import FrameSource, Spectrogram
 
+EPSILON = 1e-8  # floor of the power estimate lambda and of the ridge load
+
 
 @dataclass
 class WpeConfig:
@@ -25,12 +27,11 @@ class WpeConfig:
     iterations: int = 3
     update_interval: float = 1.0  # seconds between filter re-estimations
     context: float = 4.0  # seconds of the first block and of each later solve
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.taps < 1 or self.delay < 1 or self.iterations < 1:
             raise ValueError("taps, delay and iterations must all be >= 1")
-        for name in ("update_interval", "context", "epsilon"):
+        for name in ("update_interval", "context"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
@@ -53,7 +54,7 @@ def _delayed_stack(data, taps, delay, out=None):
     return stacked
 
 
-def _wpe_filters(data, stacked, estimate, config, out=None):
+def _wpe_filters(data, stacked, estimate, out=None):
     """One half-iteration: variance update then normal-equation solve.
 
     Everything is laid out (F, rows, T), so both correlations are one batched
@@ -64,9 +65,8 @@ def _wpe_filters(data, stacked, estimate, config, out=None):
     |estimate|^2 (F, J, T)). The (F, JK, T) temporary is written to out[:F]
     when out is given.
     """
-    eps = config.epsilon
     power = np.abs(estimate) ** 2
-    lam = np.maximum(np.mean(power, axis=1), eps)  # (F, T)
+    lam = np.maximum(np.mean(power, axis=1), EPSILON)  # (F, T)
     # conj(stacked) / lambda is the only (F, JK, T) temporary: R and P are the
     # conjugates of its products with the plain transposed views. Multiplying
     # by 1 / lambda gives the division's bits: numpy divides a complex number
@@ -77,7 +77,7 @@ def _wpe_filters(data, stacked, estimate, config, out=None):
     np.conj(r, out=r)
     p = np.conj(weighted @ data.transpose(0, 2, 1))  # (F, JK, J)
     jk = r.shape[1]
-    load = eps * np.maximum(np.real(np.trace(r, axis1=1, axis2=2)) / jk, eps)  # (F,)
+    load = EPSILON * np.maximum(np.real(np.trace(r, axis1=1, axis2=2)) / jk, EPSILON)  # (F,)
     diagonal = np.arange(jk)
     r[:, diagonal, diagonal] += load[:, np.newaxis]
     filters = np.linalg.solve(r, p)
@@ -99,9 +99,7 @@ def _wpe_bins(data, config, residuals, workspace):
     estimate = data
     prev_filters = None
     for i in range(config.iterations):
-        filters, lam, load, power = _wpe_filters(
-            data, stacked, estimate, config, workspace[1]
-        )
+        filters, lam, load, power = _wpe_filters(data, stacked, estimate, workspace[1])
         prediction = np.conj(filters).transpose(0, 2, 1) @ stacked  # (F, J, T)
         estimate = data - prediction
         if residuals is not None:

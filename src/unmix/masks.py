@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformer import EPS, sig_cov, window_covariances
+from .beamformer import EPS, principal_pair, sig_cov
 from .errors import NoSignalError, ShapeError
 from .pit import permute_heads
 from .signal_io import SPEED_OF_SOUND, MaskFile
@@ -111,10 +111,10 @@ def doa_grid(geometry, freqs):
     return grid
 
 
-def doa_from_eigenvectors(vectors, freqs, geometry):
+def doa_from_eigenvectors(vector, freqs, geometry):
     """Azimuth in [0, 360) of the source whose spatial covariances have the
-    eigenvectors `vectors` (..., bins, J, J), eigenvalues ascending as
-    np.linalg.eigh returns them; freqs: (bins,) in Hz.
+    principal eigenvectors `vector` (..., bins, J), as principal_pair
+    returns them; freqs: (bins,) in Hz.
 
     Per frequency bin in DOA_BAND_HZ, the principal eigenvector is matched
     against far-field steering vectors every DOA_GRID_DEG degrees; match
@@ -122,8 +122,7 @@ def doa_from_eigenvectors(vectors, freqs, geometry):
     for one source, an array of the leading shape for a stack.
     """
     band, azimuths, steer_conj = doa_grid(geometry, freqs)
-    principal = vectors[..., -1][..., band, :]  # (..., Fb, J)
-    match = steer_conj @ principal[..., np.newaxis]  # (..., Fb, A, 1)
+    match = steer_conj @ vector[..., band, :, np.newaxis]  # (..., Fb, A, 1)
     scores = np.abs(match[..., 0]) ** 2
     doa = azimuths[np.argmax(scores.sum(axis=-2), axis=-1)]
     return float(doa) if doa.ndim == 0 else doa
@@ -133,20 +132,17 @@ def estimate_doa(masks, spec, geometry):
     """Estimate the azimuth of the source selected by each mask.
 
     masks: (frames, bins), or a stack (..., frames, bins) of such masks.
-    The mask-weighted spatial covariances of the bins in DOA_BAND_HZ are
-    eigendecomposed and matched by doa_from_eigenvectors: a float for one
-    mask, an array of the leading shape for a stack.
+    The principal eigenvectors of the mask-weighted spatial covariances are
+    matched by doa_from_eigenvectors: a float for one mask, an array of the
+    leading shape for a stack.
     """
     masks = np.asarray(masks, dtype=np.float64)
     if masks.shape[-2:] != (spec.frame_count, spec.bins):
         raise ShapeError("mask must be frames x bins aligned with the spectrogram")
     if np.any(np.sum(masks, axis=(-2, -1)) < EPS):
         raise NoSignalError("all-zero mask carries no direction information")
-    freqs = spec.bin_frequencies()
-    band = (freqs >= DOA_BAND_HZ[0]) & (freqs <= DOA_BAND_HZ[1])
-    cov = sig_cov(spec.data[:, :, band], masks[..., band])  # (..., Fb, J, J)
-    _, vecs = np.linalg.eigh(cov)
-    return doa_from_eigenvectors(vecs, freqs[band], geometry)
+    _, vector = principal_pair(sig_cov(spec.data, masks))
+    return doa_from_eigenvectors(vector, spec.bin_frequencies(), geometry)
 
 
 def circular_difference_deg(a, b):
@@ -159,8 +155,8 @@ def merge_heads_if_same_doa(
 ):
     """Merge the two speech heads when their DOA estimates nearly coincide.
 
-    The DOAs come from the speech-head eigenvectors of covariances, the
-    window_covariances of mask_set over spec (computed here when not given).
+    The DOAs come from covariances, the window_covariances of mask_set over
+    spec, or without them from estimate_doa on the speech heads.
     If the circular DOA difference is strictly below the threshold the head
     with the larger total mask mass absorbs the elementwise sum (clipped to 1)
     and the other head is zeroed, sharing mask_set's noise array; mask_set
@@ -170,8 +166,9 @@ def merge_heads_if_same_doa(
     if min(masses) < EPS:
         return mask_set
     if covariances is None:
-        covariances = window_covariances(spec.data, mask_set)
-    doas = doa_from_eigenvectors(covariances.vectors, spec.bin_frequencies(), geometry)
+        doas = estimate_doa(mask_set.speech, spec, geometry)
+    else:
+        doas = doa_from_eigenvectors(covariances.vector, spec.bin_frequencies(), geometry)
     if circular_difference_deg(doas[0], doas[1]) >= threshold_deg:
         return mask_set
     dominant = 0 if masses[0] >= masses[1] else 1

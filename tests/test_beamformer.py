@@ -9,6 +9,7 @@ from unmix.beamformer import (
     gain_adjust,
     mvdr_weights,
     principal_component,
+    principal_pair,
     sig_cov,
     window_covariances,
 )
@@ -187,20 +188,33 @@ class TestPrincipalComponent:
     def test_rank_one_input_unchanged(self, rng):
         v = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         cov = v[:, :, None] * np.conj(v[:, None, :])
-        out = principal_component(cov)
+        out = principal_component(*principal_pair(cov))
         assert np.max(np.abs(out - cov)) < 1e-10
 
     def test_keeps_largest_eigenpair(self, rng):
         cov = random_psd(rng, 5, 8)
-        out = principal_component(cov)
+        out = principal_component(*principal_pair(cov))
         for f in range(8):
             vals, vecs = np.linalg.eigh(cov[f])
             expected = vals[-1] * np.outer(vecs[:, -1], np.conj(vecs[:, -1]))
             assert np.max(np.abs(out[f] - expected)) < 1e-10
 
     def test_zero_input_stays_zero(self):
-        out = principal_component(np.zeros((3, 4, 4)))
+        out = principal_component(*principal_pair(np.zeros((3, 4, 4))))
         assert np.all(out == 0.0)
+
+    def test_pair_is_a_view_of_the_largest_eigenpair(self, rng):
+        cov = random_psd(rng, 4, 6)
+        value, vector = principal_pair(cov)
+        assert value.shape == (6,) and vector.shape == (6, 4)
+        assert not value.flags.owndata and not vector.flags.owndata
+        np.testing.assert_allclose(cov @ vector[..., None], (value[:, None] * vector)[..., None])
+
+    def test_pair_rejects_non_hermitian_input(self, rng):
+        cov = random_psd(rng, 3, 2)
+        cov[1, 0, 2] += 1.0
+        with pytest.raises(ContractViolationError, match="speech"):
+            principal_pair(cov)
 
 
 class TestGainAdjust:
@@ -300,8 +314,8 @@ def _per_head_beamform(window_data, mask_set, reference_index, covariances, fram
     ref_mag = np.abs(data[reference_index])
     out = np.empty((2,) + data.shape[1:], dtype=np.complex128)
     for i in range(2):
-        vals, vecs = covariances.values[i], covariances.vectors[i]
-        scaled = vecs[:, :, -1] * np.sqrt(np.maximum(vals[:, -1:], 0.0))
+        value, vector = covariances.value[i], covariances.vector[i]
+        scaled = vector * np.sqrt(np.maximum(value, 0.0))[:, np.newaxis]
         phi = scaled[:, :, np.newaxis] * np.conj(scaled[:, np.newaxis, :])
         psi = covariances.psi[i]
         j = psi.shape[1]

@@ -246,11 +246,12 @@ class TestSimulate:
         b = _simulate(tmp_path, name="b")
         assert (a / "mixture.wav").read_bytes() == (b / "mixture.wav").read_bytes()
 
-    def test_source_outside_room_is_data_error(self, tmp_path):
+    def test_source_outside_room_is_data_error(self, tmp_path, capsys):
         bad = SCENE.replace("source = 4.0 1.5 1.5", "source = 9.0 1.5 1.5")
         spec = tmp_path / "scene.cfg"
         spec.write_text(bad)
-        assert main(["simulate", str(spec), str(tmp_path / "out")]) == EXIT_DATA
+        err = _assert_data_error(capsys, ["simulate", str(spec), str(tmp_path / "out")])
+        assert err.startswith(f"error: {spec}:"), err
 
     def test_malformed_spec_is_data_error(self, tmp_path):
         spec = tmp_path / "scene.cfg"
@@ -279,6 +280,8 @@ class TestSimulate:
             ("config = sequential", "config = single"),
             ("t60 = 0.15", "t60 = nan"),
             ("seed = 3", "seed = 3\narray_radius = inf"),
+            ("seed = 3", "seed = 3\narray_radius = 0"),
+            ("seed = 3", "seed = 3\narray_radius = -0.05"),
             ("seed = 3", "seed = -1"),
             ("seed = 3", "seed = 3\ngains_db = 0 inf"),
         ],

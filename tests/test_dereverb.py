@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import unmix.dereverb
 import unmix.parallel
 from unmix.dereverb import (
+    EPSILON,
     WpeConfig,
     WpeFrames,
     _delayed_stack,
@@ -101,10 +102,10 @@ class TestWpeBlock:
             wpe_block(spec, config)
 
 
-def _einsum_iteration(data, stacked, estimate, config):
+def _einsum_iteration(data, stacked, estimate):
     """One WPE iteration with the correlations and the prediction written as
     the einsum contractions they replace; returns (filters, new estimate)."""
-    eps = config.epsilon
+    eps = EPSILON
     lam = np.maximum(np.mean(np.abs(estimate) ** 2, axis=1), eps)
     weighted = stacked / lam[:, np.newaxis]
     r = np.einsum("fkt,flt->fkl", weighted, np.conj(stacked))
@@ -158,8 +159,8 @@ class TestMatmulMatchesEinsum:
     def test_filters(self, block):
         data, config = block
         stacked = _delayed_stack(data, config.taps, config.delay)
-        filters = _wpe_filters(data, stacked, data, config)[0]
-        expected, _ = _einsum_iteration(data, stacked, data, config)
+        filters = _wpe_filters(data, stacked, data)[0]
+        expected, _ = _einsum_iteration(data, stacked, data)
         np.testing.assert_allclose(filters, expected, rtol=1e-12, atol=_scaled(expected))
 
     @settings(max_examples=100, deadline=None)
@@ -168,17 +169,17 @@ class TestMatmulMatchesEinsum:
         data, config = block
         out = wpe_block(_as_spectrogram(data), config)
         stacked = _delayed_stack(data, config.taps, config.delay)
-        _, expected = _einsum_iteration(data, stacked, data, config)
+        _, expected = _einsum_iteration(data, stacked, data)
         np.testing.assert_allclose(
             np.transpose(out.data, (2, 0, 1)), expected, rtol=1e-12, atol=_scaled(expected)
         )
 
 
-def _filters_with_division_and_eye(data, stacked, estimate, config, out=None):
+def _filters_with_division_and_eye(data, stacked, estimate, out=None):
     """_wpe_filters with the weighting as a division by lambda, the
     conjugates as new arrays and the ridge load added through a full
     identity matrix: the reference the in-place steps must equal bit for bit."""
-    eps = config.epsilon
+    eps = EPSILON
     power = np.abs(estimate) ** 2
     lam = np.maximum(np.mean(power, axis=1), eps)
     weighted = np.conj(stacked, out=None if out is None else out[: len(stacked)])
@@ -499,7 +500,7 @@ class TestWpeFrames:
         with pytest.raises(ValueError, match="out of order"):
             frames.frames(5, 20)
 
-    @pytest.mark.parametrize("key", ["update_interval", "context", "epsilon"])
+    @pytest.mark.parametrize("key", ["update_interval", "context"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
     def test_config_rejects_non_positive_or_non_finite(self, key, value):
         with pytest.raises(ValueError, match=key):

@@ -282,6 +282,25 @@ class TestDoa:
         assert len(calls) == 3
         assert estimate_doa(ones, spec, geometry) == first
 
+    def test_estimate_doa_and_the_window_merge_share_one_grid(self, geometry, rng, monkeypatch):
+        spec = plane_wave_spectrogram(geometry, 45.0, frames=30)
+        masks = rng.uniform(0.1, 1.0, (3, spec.frame_count, spec.bins))
+        mset = MaskSet(speech=masks[:2], noise=masks[2])
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return steering_vectors(*args)
+
+        monkeypatch.setattr("unmix.masks.steering_vectors", counting)
+        monkeypatch.setattr("unmix.masks._doa_grid_cache", {})
+        for _ in range(3):
+            estimate_doa(mset.speech, spec, geometry)
+            merge_heads_if_same_doa(
+                mset, spec, geometry, covariances=window_covariances(spec.data, mset)
+            )
+        assert len(calls) == 1
+
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -301,7 +320,7 @@ class TestDoa:
         masks = rng.uniform(0, 1, (3, spec.frame_count, spec.bins))
         mset = MaskSet(speech=masks[:2], noise=masks[2])
         covs = window_covariances(spec.data, mset, mode)
-        shared = doa_from_eigenvectors(covs.vectors, spec.bin_frequencies(), geometry)
+        shared = doa_from_eigenvectors(covs.vector, spec.bin_frequencies(), geometry)
         np.testing.assert_array_equal(shared, estimate_doa(mset.speech, spec, geometry))
 
 
