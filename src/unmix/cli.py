@@ -30,9 +30,9 @@ from .errors import (
 from .masks import FileMaskProvider, OracleMaskProvider
 from .metrics import (
     activity_frames_from_segments,
-    best_permutation_eval,
     channel_leakage_db,
     check_nonmixing,
+    permutation_eval,
 )
 from .signal_io import ArrayGeometry, MultichannelWave, WaveReader, WaveWriter, read_wave, write_wave
 from .simulator import make_mixture, speech_like_source
@@ -98,6 +98,7 @@ def cmd_simulate(args):
         "t60": room.t60,
         "snr_db": None if not has_noise else mix_spec.noise_snr_db,
         "seed": mix_spec.seed,
+        "array_radius": float(np.linalg.norm(room.array_geometry.positions, axis=1).max()),
     }
     (outdir / "truth.json").write_text(json.dumps(meta, indent=2))
     log.info("wrote scene to %s", outdir)
@@ -144,8 +145,9 @@ class _TrackSum:
 
 def _read_truth_meta(path):
     """truth.json as simulate writes it: `utterances`, an `assignment` of
-    output 0 or 1 per utterance and, optionally (evaluate needs it), one
-    `[start, end]` sample segment per utterance in `activity_samples`."""
+    output 0 or 1 per utterance and, optionally, one `[start, end]` sample
+    segment per utterance in `activity_samples` (evaluate needs it) and the
+    `array_radius` in meters the scene was rendered with."""
     try:
         meta = json.loads(path.read_text())
     except ValueError as exc:
@@ -178,6 +180,11 @@ def _read_truth_meta(path):
             f"{path}: 'activity_samples' must give one [start, end] sample segment "
             f"for each of the {count} utterances"
         )
+    radius = meta.get("array_radius", 1.0)
+    if isinstance(radius, bool) or not (
+        isinstance(radius, (int, float)) and np.isfinite(radius) and radius > 0
+    ):
+        raise FormatError(f"{path}: 'array_radius' must be finite and > 0, got {radius!r}")
     return meta
 
 
@@ -205,7 +212,13 @@ def _make_provider(config, spec, wave, plan):
             raise ConfigurationError(
                 "oracle mask provider requires truth_dir pointing at simulate output"
             )
-        _, streams, noise = _load_truth(config.truth_dir, wave.num_samples, wave.sample_rate)
+        meta, streams, noise = _load_truth(config.truth_dir, wave.num_samples, wave.sample_rate)
+        radius = meta.get("array_radius", config.array_radius)
+        if abs(radius - config.array_radius) > 1e-9 * config.array_radius:
+            raise ConfigurationError(
+                f"{config.truth_dir} was rendered with array_radius = {radius}, "
+                f"the pipeline has {config.array_radius}"
+            )
         return OracleMaskProvider(
             spec,
             [StftFrames(stream, config.stft) for stream in streams],
@@ -312,16 +325,29 @@ def cmd_separate(args):
     return EXIT_OK
 
 
+_EVAL_BLOCK = 1 << 16  # samples of every signal that evaluate scores at a time
+
+
+def _solo_ranges(segments, assignment):
+    """(c, lo, hi) per sample range [lo, hi) where only output stream c has utterances active."""
+    edges = sorted({x for segment in segments for x in segment})
+    solo = []
+    for lo, hi in zip(edges, edges[1:]):
+        active = {ch for (a, b), ch in zip(segments, assignment) if a <= lo and hi <= b}
+        if len(active) == 1:
+            solo.append((active.pop(), lo, hi))
+    return solo
+
+
 def _evaluate_scene(est_dir, truth_dir, config):
     est_dir, truth_dir = Path(est_dir), Path(truth_dir)
-    waves = [read_wave(est_dir / f"out{i}.wav") for i in (0, 1)]
-    shapes = [(w.channel_count, w.samples.shape[1], w.sample_rate) for w in waves]
+    outputs = [WaveReader(est_dir / f"out{i}.wav") for i in (0, 1)]
+    shapes = [(w.channel_count, w.num_samples, w.sample_rate) for w in outputs]
     if shapes[0][0] != 1 or shapes[1] != shapes[0]:
         raise FormatError(
             f"estimates in {est_dir} must be mono at one length and rate; (channels, "
             f"samples, Hz) of out0.wav {shapes[0]}, of out1.wav {shapes[1]}"
         )
-    estimates = [wave.samples[0] for wave in waves]
     _, num_samples, rate = shapes[0]
     config.stft.frame_count(num_samples)  # estimates shorter than one frame have no activity
     meta, streams, _ = _load_truth(truth_dir, num_samples, rate)
@@ -331,24 +357,22 @@ def _evaluate_scene(est_dir, truth_dir, config):
     mixture = _open_truth_wave(
         truth_dir / "mixture.wav", num_samples, rate, config.reference_index
     )
-    report = best_permutation_eval(
-        estimates,
-        [stream.read(0, num_samples)[0] for stream in streams],
-        mixture_ref=mixture.read(0, num_samples)[config.reference_index],
-    )
+    signals = [*outputs, *streams, mixture.channel(config.reference_index)]
+    solo = _solo_ranges(segments, meta["assignment"])
+    # every score comes from sums: the signals' Gram matrix and solo_energy
+    gram, solo_energy = np.zeros((5, 5)), np.zeros((2, 2))
+    for lo in range(0, num_samples, _EVAL_BLOCK):
+        block = np.vstack([s.read(lo, min(lo + _EVAL_BLOCK, num_samples)) for s in signals])
+        gram += block @ block.T
+        for c, a, b in solo:
+            part = block[:2, max(a - lo, 0) : max(b - lo, 0)]
+            solo_energy[c] += np.sum(part**2, axis=1)
+    report = permutation_eval(gram)
     activity = activity_frames_from_segments(
         segments, num_samples, config.stft.hop, config.stft.window_size
     )
     report.nonmixing_violation_rate = check_nonmixing(meta["assignment"], activity)
-    sample_activity = []
-    for ch in range(2):
-        mask = np.zeros(num_samples, dtype=bool)
-        for k, c in enumerate(meta["assignment"]):
-            if c == ch:
-                lo, hi = segments[k]
-                mask[lo:hi] = True
-        sample_activity.append(mask)
-    report.leakage_db = channel_leakage_db(estimates, sample_activity)
+    report.leakage_db = channel_leakage_db(solo_energy)
     return report
 
 

@@ -34,23 +34,18 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def si_sdr(estimate, reference):
-    """Scale-invariant signal-to-distortion ratio in dB, within +-SI_SDR_CAP_DB.
+def si_sdr_from_sums(cross, ref_energy, est_energy):
+    """Scale-invariant signal-to-distortion ratio in dB, within +-SI_SDR_CAP_DB,
+    from cross = <s_hat, s>, ref_energy = ||s||^2 and est_energy = ||s_hat||^2.
 
     10 log10(||a s||^2 / ||a s - s_hat||^2) with the optimal scale
-    a = <s_hat, s> / ||s||^2; invariant to positive scaling of the estimate.
+    a = <s_hat, s> / ||s||^2; ||a s||^2 = cross^2 / ref_energy, and the
+    error energy is est_energy less that.
     """
-    estimate = np.asarray(estimate, dtype=np.float64).ravel()
-    reference = np.asarray(reference, dtype=np.float64).ravel()
-    if estimate.shape != reference.shape:
-        raise ShapeError("estimate and reference lengths differ")
-    ref_energy = float(np.dot(reference, reference))
     if ref_energy <= 0.0:
         raise UndefinedMetricError("SI-SDR is undefined for a zero reference")
-    alpha = float(np.dot(estimate, reference)) / ref_energy
-    target = alpha * reference
-    target_energy = float(np.dot(target, target))
-    error_energy = float(np.sum((target - estimate) ** 2))
+    target_energy = cross * cross / ref_energy
+    error_energy = max(est_energy - target_energy, 0.0)
     if error_energy <= target_energy * 10.0 ** (-SI_SDR_CAP_DB / 10.0):
         return SI_SDR_CAP_DB
     if target_energy == 0.0:
@@ -59,48 +54,60 @@ def si_sdr(estimate, reference):
     return float(np.clip(ratio, -SI_SDR_CAP_DB, SI_SDR_CAP_DB))
 
 
-def best_permutation_eval(estimates, references, mixture_ref=None):
-    """Evaluate a channel pair under both output-to-reference assignments.
+def _gram(signals):
+    """The Gram matrix of equal-length signals: entry (i, j) is <x_i, x_j>."""
+    rows = [np.asarray(x, dtype=np.float64).ravel() for x in signals]
+    if len({len(x) for x in rows}) > 1:
+        raise ShapeError("estimate and reference lengths differ")
+    rows = np.stack(rows)
+    return rows @ rows.T
 
-    A reference that is entirely zero (single-speaker scenes) is skipped in
-    the totals. When `mixture_ref` is given, si_sdr_improvement is the mean
-    per-channel gain over evaluating the unprocessed mixture instead.
+
+def si_sdr(estimate, reference):
+    """SI-SDR of an estimate against a reference (see si_sdr_from_sums)."""
+    g = _gram([estimate, reference])
+    return si_sdr_from_sums(g[0, 1], g[1, 1], g[0, 0])
+
+
+def permutation_eval(gram):
+    """Score a channel pair under both output-to-stream assignments, from the
+    Gram matrix of [out0, out1, stream0, stream1] and, when it is 5 x 5, of
+    the mixture's reference channel last.
+
+    A stream that is entirely zero (single-speaker scenes) is skipped in the
+    totals. With the mixture, si_sdr_improvement is the mean per-channel gain
+    over evaluating the unprocessed mixture instead.
     """
-    if len(estimates) != 2 or len(references) != 2:
-        raise ShapeError("expected two estimates and two references")
+    gram = np.asarray(gram, dtype=np.float64)
+    if gram.shape not in ((4, 4), (5, 5)):
+        raise ShapeError(f"expected the 4 x 4 or 5 x 5 Gram matrix, got {gram.shape}")
 
-    def scores(assignment):
-        vals = []
-        for i in (0, 1):
-            ref = references[assignment[i]]
-            if np.dot(ref, ref) == 0.0:
-                vals.append(None)
-            else:
-                vals.append(si_sdr(estimates[i], ref))
-        return vals
+    def score(row, stream):
+        ref = 2 + stream
+        if gram[ref, ref] == 0.0:
+            return None
+        return si_sdr_from_sums(gram[row, ref], gram[ref, ref], gram[row, row])
 
-    candidates = {}
-    for assignment in ((0, 1), (1, 0)):
-        vals = scores(assignment)
-        total = sum(v for v in vals if v is not None)
-        candidates[assignment] = (total, vals)
-    best = max(candidates, key=lambda a: candidates[a][0])
-    total, vals = candidates[best]
+    def total(assignment):  # a skipped stream adds nothing
+        return sum(score(i, s) or 0.0 for i, s in enumerate(assignment))
 
-    improvement = None
-    if mixture_ref is not None:
-        gains = []
-        for i in (0, 1):
-            ref = references[best[i]]
-            if np.dot(ref, ref) == 0.0 or vals[i] is None:
-                continue
-            gains.append(vals[i] - si_sdr(mixture_ref, ref))
-        improvement = float(np.mean(gains)) if gains else None
+    best = max(((0, 1), (1, 0)), key=total)  # the identity on a tie
+    vals = [score(i, s) for i, s in enumerate(best)]
+    gains = [v - score(4, s) for v, s in zip(vals, best) if v is not None and len(gram) == 5]
+    improvement = float(np.mean(gains)) if gains else None
     return EvalReport(
         per_channel_si_sdr=tuple(v if v is not None else float("nan") for v in vals),
         permutation_used=best,
         si_sdr_improvement=improvement,
     )
+
+
+def best_permutation_eval(estimates, references, mixture_ref=None):
+    """permutation_eval of two estimates, two references and, optionally, the mixture."""
+    if len(estimates) != 2 or len(references) != 2:
+        raise ShapeError("expected two estimates and two references")
+    mixture = [] if mixture_ref is None else [mixture_ref]
+    return permutation_eval(_gram([*estimates, *references, *mixture]))
 
 
 def check_nonmixing(assignment, activity):
@@ -118,51 +125,33 @@ def check_nonmixing(assignment, activity):
         )
     if any(ch < 0 for ch in assignment):
         raise ValueError(f"assignment names a negative output channel: {list(assignment)}")
+    if len({len(a) for a in activity}) > 1:
+        raise ShapeError("activity arrays must share one length")
     if not activity:
         return 0.0
-    n = len(activity[0])
-    for a in activity:
-        if len(a) != n:
-            raise ShapeError("activity arrays must share one length")
-    by_channel = {}
-    for k, ch in enumerate(assignment):
-        by_channel.setdefault(ch, []).append(activity[k])
-    any_active = np.zeros(n, dtype=bool)
-    for a in activity:
-        any_active |= a
-    active_frames = int(np.sum(any_active))
+    activity, assignment = np.stack(activity), np.asarray(assignment)
+    active_frames = np.count_nonzero(activity.any(axis=0))
     if active_frames == 0:
         return 0.0
-    violated = np.zeros(n, dtype=bool)
-    for members in by_channel.values():
-        if len(members) < 2:
-            continue
-        counts = np.sum(np.stack(members), axis=0)
-        violated |= counts >= 2
-    return float(np.sum(violated)) / active_frames
+    violated = np.zeros(activity.shape[1], dtype=bool)
+    for ch in set(assignment):
+        violated |= activity[assignment == ch].sum(axis=0) >= 2
+    return np.count_nonzero(violated) / active_frames
 
 
-def channel_leakage_db(estimates, activity_per_channel):
-    """Energy of the idle channel relative to the active one, in dB.
+def channel_leakage_db(solo_energy):
+    """Energy of the idle output relative to the active one, in dB.
 
-    Evaluated over frames where exactly one output channel should be active;
-    returns None when no such frames exist.
+    solo_energy[c][i]: the energy of output i over the samples where stream
+    c alone is active. A stream without such samples, or whose own output is
+    silent over them, is left out; returns None when both are.
     """
-    act = [np.asarray(a, dtype=bool) for a in activity_per_channel]
-    solo0 = act[0] & ~act[1]
-    solo1 = act[1] & ~act[0]
-    ratios = []
-    for active_ch, frames in ((0, solo0), (1, solo1)):
-        if not np.any(frames):
-            continue
-        idle_ch = 1 - active_ch
-        e_active = float(np.sum(np.asarray(estimates[active_ch])[frames] ** 2))
-        e_idle = float(np.sum(np.asarray(estimates[idle_ch])[frames] ** 2))
-        if e_active > 0:
-            ratios.append(10.0 * np.log10(max(e_idle, 1e-30) / e_active))
-    if not ratios:
-        return None
-    return float(np.mean(ratios))
+    ratios = [
+        10.0 * np.log10(max(energy[1 - c], 1e-30) / energy[c])
+        for c, energy in enumerate(solo_energy)
+        if energy[c] > 0
+    ]
+    return float(np.mean(ratios)) if ratios else None
 
 
 def activity_frames_from_segments(segments, num_samples, hop, window_size):

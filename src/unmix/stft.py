@@ -173,11 +173,14 @@ class OverlapAdd:
     Each push returns the samples that no later frame overlaps; the push of
     the last frame returns the rest, up to (frame_count - 1) * hop +
     window_size samples in all. Reconstruction is exact wherever the
-    window-square sum is at its interior value. Near the edges the
-    normalization is floored at 1e-2 of its largest value, so that modified
-    (non-windowed-consistent) spectrograms cannot be amplified by the
-    vanishing window tails. The samples equal a whole-signal overlap-add:
-    each is accumulated in the same order.
+    window-square sum is at its interior value. The normalization is
+    floored at the smallest value that sum takes away from the edges (at
+    1e-2 of its largest value where that smallest is 0, as with a hop of a
+    whole window), so no sample near the edges, where fewer frames overlap,
+    is divided by less than an interior one: there the output fades in and
+    out, and the frames of a modified (not windowed-consistent) spectrogram
+    are not amplified. The samples equal a whole-signal overlap-add: each is
+    accumulated in the same order.
 
     The running sums are held hop by hop, as (channels, hops, hop) and
     (hops, hop) arrays: part r of n pushed frames adds to hops r to
@@ -193,14 +196,12 @@ class OverlapAdd:
         overlap = config.window_size // config.hop - 1  # hops a frame shares with the next
         self._out = np.zeros((channels, overlap, config.hop))  # sums the next frame adds to
         self._norm = np.zeros((overlap, config.hop))
-        # the window-square sum takes the same set of values for every frame
-        # count from window_size / hop up, so its largest value is found
-        # from that many frames at most
-        probe = min(frame_count, config.window_size // config.hop)
-        norm = np.zeros((probe - 1) * config.hop + config.window_size)
-        for t in range(probe):
-            norm[t * config.hop : t * config.hop + config.window_size] += self._window_square
-        self._floor = 1e-2 * np.max(norm)
+        # away from the edges, each hop sums all parts of the window square,
+        # added here in the order push adds them
+        interior = np.zeros(config.hop)
+        for part in self._window_square.reshape(-1, config.hop)[::-1]:
+            interior += part
+        self._floor = max(interior.min(), 1e-2 * interior.max())
 
     def push(self, data):
         """Spectra (channels, n, bins) of the next n frames; returns the

@@ -96,6 +96,9 @@ BAD_TRUTH = {
     "negative segment start": lambda meta: json.dumps(
         {**meta, "activity_samples": [[-5, 10], [0, 10]]}
     ),
+    "zero array radius": lambda meta: json.dumps({**meta, "array_radius": 0}),
+    "NaN array radius": lambda meta: json.dumps({**meta, "array_radius": float("nan")}),
+    "array radius as text": lambda meta: json.dumps({**meta, "array_radius": "0.0425"}),
 }
 
 
@@ -154,6 +157,31 @@ def _masking_peak_mb(tmp_path, seconds, rng, provider, settings=()):
         capture_output=True, text=True, check=True, env=_env_with_src(),
     )
     code, peak_mb = probe.stdout.split()
+    assert int(code) == EXIT_OK, probe.stderr
+    return float(peak_mb)
+
+
+def _evaluate_peak_mb(tmp_path, seconds, rng):
+    """Peak RSS (MB) of `evaluate`, in a fresh process, of mono float32
+    noise estimates against a truth directory of `seconds` of 7-channel
+    float32 noise, two mono tracks and two utterances."""
+    rate, n = 16000, seconds * 16000
+    truth, est = tmp_path / f"truth{seconds}", tmp_path / f"est{seconds}"
+    truth.mkdir()
+    est.mkdir()
+    segments = [[0, 2 * n // 3], [n // 3, n]]
+    meta = {"utterances": 2, "assignment": [0, 1], "activity_samples": segments}
+    (truth / "truth.json").write_text(json.dumps(meta))
+    mixture = 0.1 * rng.standard_normal((n, 7), dtype=np.float32)
+    scipy.io.wavfile.write(truth / "mixture.wav", rate, mixture)
+    del mixture
+    for path in (truth / "source0.wav", truth / "source1.wav", est / "out0.wav", est / "out1.wav"):
+        scipy.io.wavfile.write(path, rate, 0.1 * rng.standard_normal(n, dtype=np.float32))
+    probe = subprocess.run(
+        [sys.executable, "-c", MEMORY_PROBE, "evaluate", str(est), str(truth)],
+        capture_output=True, text=True, check=True, env=_env_with_src(),
+    )
+    code, peak_mb = probe.stdout.split()[-2:]
     assert int(code) == EXIT_OK, probe.stderr
     return float(peak_mb)
 
@@ -233,6 +261,7 @@ class TestSimulate:
         assert meta["utterances"] == 2
         assert sorted(meta["assignment"]) in ([0, 0], [0, 1], [1, 1])
         assert len(meta["activity_samples"]) == 2
+        assert meta["array_radius"] == pytest.approx(0.0425, rel=1e-12)
 
     def test_no_noise_scene_omits_noise_file(self, tmp_path):
         outdir = _simulate(tmp_path, SCENE_NO_NOISE)
@@ -624,6 +653,16 @@ class TestSeparate:
         argv = ["separate", str(shared_scene / "mixture.wav"), str(tmp_path / "sep")]
         assert "truth.json" in _assert_data_error(capsys, argv + ["--truth-dir", str(truth)])
 
+    def test_truth_rendered_at_another_array_radius_is_data_error(self, tmp_path, capsys):
+        scene = _simulate(tmp_path, SCENE + "array_radius = 0.05\n")
+        radius = json.loads((scene / "truth.json").read_text())["array_radius"]
+        assert radius == pytest.approx(0.05, rel=1e-12)
+        argv = ["separate", str(scene / "mixture.wav"), str(tmp_path / "sep")]
+        err = _assert_data_error(capsys, argv + ["--truth-dir", str(scene)])
+        assert "array_radius" in err, err
+        assert not (tmp_path / "sep").exists()
+        assert main(argv + ["--truth-dir", str(scene), "--set", "array_radius=0.05"]) == EXIT_OK
+
     def test_multichannel_truth_track_is_data_error(self, tmp_path, capsys, shared_scene):
         truth = _truth_with_stereo_source(tmp_path, shared_scene)
         argv = ["separate", str(shared_scene / "mixture.wav"), str(tmp_path / "sep")]
@@ -958,6 +997,50 @@ class TestEvaluate:
         config.write_text("reference_index = 3\n")
         argv = ["evaluate", str(est), str(truth), "--config", str(config)]
         assert "mixture.wav has 2 channels" in _assert_data_error(capsys, argv)
+
+    def test_peak_memory_does_not_grow_with_the_recording(self, tmp_path, rng):
+        short = _evaluate_peak_mb(tmp_path, 20, rng)
+        long = _evaluate_peak_mb(tmp_path, 80, rng)
+        assert abs(long - short) < 15.0, (short, long)
+
+    def test_report_does_not_depend_on_the_block_size(self, tmp_path, shared_scene, monkeypatch):
+        # 1001-sample blocks: the signals and the activity segments straddle
+        # block edges, and the last block is a short one
+        mixture = read_wave(shared_scene / "mixture.wav").samples
+        est = tmp_path / "est"
+        est.mkdir()
+        for i in (0, 1):
+            estimate = mixture[0] + (0.5 - i) * mixture[3 + i]
+            write_wave(MultichannelWave(estimate, 16000), est / f"out{i}.wav", dtype="float32")
+        reports = []
+        for block in (unmix.cli._EVAL_BLOCK, 1001):
+            monkeypatch.setattr(unmix.cli, "_EVAL_BLOCK", block)
+            assert main(["evaluate", str(est), str(shared_scene)]) == EXIT_OK
+            reports.append(json.loads((est / "report.json").read_text()))
+        default, small = reports
+        assert mixture.shape[1] % 1001 and default["leakage_db"] is not None
+        assert small["permutation_used"] == default["permutation_used"]
+        assert small["nonmixing_violation_rate"] == default["nonmixing_violation_rate"]
+        for key in ("per_channel_si_sdr", "si_sdr_improvement", "leakage_db"):
+            assert np.allclose(small[key], default[key], rtol=0.0, atol=1e-9), key
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, 40), st.integers(0, 1)), max_size=6
+        )
+    )
+    def test_solo_ranges_match_per_sample_activity(self, utterances):
+        segments = [[lo, hi] for lo, hi, _ in utterances]
+        assignment = [ch for _, _, ch in utterances]
+        active = np.zeros((2, 41), dtype=bool)
+        for (lo, hi), ch in zip(segments, assignment):
+            active[ch, lo:hi] = True
+        solo = np.zeros((2, 41), dtype=bool)
+        for c, lo, hi in unmix.cli._solo_ranges(segments, assignment):
+            assert lo < hi and not solo[:, lo:hi].any()
+            solo[c, lo:hi] = True
+        np.testing.assert_array_equal(solo, active & ~active[::-1])
 
     def test_improvement_uses_configured_reference_channel(self, tmp_path):
         scene = _simulate(tmp_path)

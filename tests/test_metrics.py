@@ -84,18 +84,45 @@ class TestBestPermutationEval:
         assert report.per_channel_si_sdr == (SI_SDR_CAP_DB, SI_SDR_CAP_DB)
 
     def test_matches_brute_force_totals(self, rng):
+        def per_sample_si_sdr(estimate, reference):
+            # the scaled reference and the error formed sample by sample
+            alpha = np.dot(estimate, reference) / np.dot(reference, reference)
+            target_energy = np.sum((alpha * reference) ** 2)
+            error_energy = np.sum((alpha * reference - estimate) ** 2)
+            if error_energy <= target_energy * 10.0 ** (-SI_SDR_CAP_DB / 10.0):
+                return SI_SDR_CAP_DB
+            if target_energy == 0.0:
+                return -SI_SDR_CAP_DB
+            ratio = 10.0 * np.log10(target_energy / error_energy)
+            return float(np.clip(ratio, -SI_SDR_CAP_DB, SI_SDR_CAP_DB))
+
+        cases = []
         for trial in range(10):
             local = np.random.default_rng(trial)
             ests = [local.standard_normal(800) for _ in range(2)]
-            refs = [local.standard_normal(800) for _ in range(2)]
+            cases.append((ests, [local.standard_normal(800) for _ in range(2)]))
+        a, b, c = (rng.standard_normal(800) for _ in range(3))
+        cases += [
+            ([a, b], [c, np.zeros(800)]),  # a zero reference is skipped
+            ([np.zeros(800), b], [a, b]),  # a silent estimate
+            ([-a + 0.1 * c, b], [a, b + c]),  # an anticorrelated estimate
+        ]
+        for ests, refs in cases:
             report = best_permutation_eval(ests, refs)
             totals = {
-                perm: si_sdr(ests[0], refs[perm[0]]) + si_sdr(ests[1], refs[perm[1]])
+                perm: sum(
+                    si_sdr(ests[i], refs[perm[i]]) for i in (0, 1) if np.any(refs[perm[i]])
+                )
                 for perm in ((0, 1), (1, 0))
             }
             assert report.total_si_sdr() == pytest.approx(
                 max(totals.values()), abs=1e-9
             )
+            for i, ref in enumerate(refs[k] for k in report.permutation_used):
+                expected = per_sample_si_sdr(ests[i], ref) if np.any(ref) else np.nan
+                assert report.per_channel_si_sdr[i] == pytest.approx(
+                    expected, abs=1e-9, nan_ok=True
+                )
 
     def test_zero_reference_skipped(self, rng):
         a = rng.standard_normal(1000)
@@ -183,22 +210,29 @@ class TestCheckNonmixing:
         assert check_nonmixing((5, 5), [np.ones(4, bool), np.zeros(4, bool)]) == 0.0
 
 
+def solo_energy(estimates, activity):
+    """The table channel_leakage_db takes, from per-sample stream activity:
+    entry [c][i] is the energy of estimate i where stream c alone is active."""
+    act = [np.asarray(a, dtype=bool) for a in activity]
+    return [[np.sum(np.asarray(e)[act[c] & ~act[1 - c]] ** 2) for e in estimates] for c in (0, 1)]
+
+
 class TestChannelLeakage:
     def test_silent_idle_channel_is_very_negative(self, rng):
         act = [np.ones(100, dtype=bool), np.zeros(100, dtype=bool)]
         est = [rng.standard_normal(100), np.zeros(100)]
-        assert channel_leakage_db(est, act) < -200.0
+        assert channel_leakage_db(solo_energy(est, act)) < -200.0
 
     def test_equal_energy_is_zero_db(self, rng):
         act = [np.ones(50, dtype=bool), np.zeros(50, dtype=bool)]
         x = rng.standard_normal(50)
         y = rng.permutation(x)
-        assert channel_leakage_db([x, y], act) == pytest.approx(0.0, abs=1e-9)
+        assert channel_leakage_db(solo_energy([x, y], act)) == pytest.approx(0.0, abs=1e-9)
 
     def test_no_solo_frames_returns_none(self, rng):
         act = [np.ones(10, dtype=bool), np.ones(10, dtype=bool)]
         est = [rng.standard_normal(10), rng.standard_normal(10)]
-        assert channel_leakage_db(est, act) is None
+        assert channel_leakage_db(solo_energy(est, act)) is None
 
 
 class TestActivityFrames:

@@ -146,9 +146,16 @@ def whole_signal_stft(x, config):
 
 def whole_signal_overlap_add(data, config):
     """Overlap-add of all frames into one buffer, normalized by the floored
-    window-square sum: the reference for OverlapAdd pushed in chunks."""
+    window-square sum: the reference for OverlapAdd pushed in chunks. The
+    floor is the smallest window-square sum away from the edges, or 1e-2 of
+    the largest where that smallest is 0."""
     frames = data.shape[1]
     win = config.window()
+    steady = np.zeros(3 * config.window_size)
+    for start in range(0, 2 * config.window_size + 1, config.hop):
+        steady[start : start + config.window_size] += win**2
+    interior = steady[config.window_size : 2 * config.window_size]
+    floor = max(interior.min(), 1e-2 * interior.max())
     segments = np.fft.irfft(data, n=config.fft_size, axis=2)[:, :, : config.window_size]
     num_samples = (frames - 1) * config.hop + config.window_size
     out = np.zeros((data.shape[0], num_samples))
@@ -157,7 +164,7 @@ def whole_signal_overlap_add(data, config):
         start = t * config.hop
         out[:, start : start + config.window_size] += segments[:, t] * win
         norm[start : start + config.window_size] += win**2
-    return out / np.maximum(norm, 1e-2 * np.max(norm))
+    return out / np.maximum(norm, floor)
 
 
 stft_configs = st.builds(
@@ -218,6 +225,28 @@ def test_overlap_add_in_random_chunks_equals_whole_signal(
         for lo, hi in zip([0, *cuts], [*cuts, frame_count])
     ]
     np.testing.assert_array_equal(np.concatenate(pieces, axis=1), reference)
+
+
+@pytest.mark.parametrize("hop", [128, 256, 512])
+def test_overlap_add_gives_the_edges_no_larger_gain_than_the_interior(rng, hop):
+    # The gain of frame t at sample n is the factor by which its inverse
+    # transform reaches the output there; each frame of random (not
+    # windowed-consistent) spectra is synthesized alone to read it.
+    config = StftConfig(hop=hop)
+    frames, size = 8, config.window_size
+    spectra = rng.standard_normal((frames, config.bins)) + 1j * rng.standard_normal(
+        (frames, config.bins)
+    )
+    content = np.fft.irfft(spectra, n=config.fft_size, axis=1)[:, :size]
+    gain = np.zeros((frames, (frames - 1) * hop + size))
+    for t in range(frames):
+        alone = np.zeros((1, frames, config.bins), dtype=np.complex128)
+        alone[0, t] = spectra[t]
+        out = synthesize(Spectrogram(alone, config, 16000)).samples[0]
+        gain[t, t * hop : t * hop + size] = out[t * hop : t * hop + size] / content[t]
+    largest = np.abs(gain).max(axis=0)
+    edges = np.concatenate([largest[:size], largest[-size:]])
+    assert edges.max() <= np.sqrt(2.0) * largest[size:-size].max()
 
 
 def test_frames_out_of_order_raise(rng):
