@@ -29,10 +29,11 @@ from .errors import (
 )
 from .masks import FileMaskProvider, OracleMaskProvider
 from .metrics import (
-    activity_frames_from_segments,
+    activity_frame_ranges,
     channel_leakage_db,
-    check_nonmixing,
+    nonmixing_rate,
     permutation_eval,
+    solo_ranges,
 )
 from .signal_io import ArrayGeometry, MultichannelWave, WaveReader, WaveWriter, read_wave, write_wave
 from .simulator import make_mixture, speech_like_source
@@ -328,17 +329,6 @@ def cmd_separate(args):
 _EVAL_BLOCK = 1 << 16  # samples of every signal that evaluate scores at a time
 
 
-def _solo_ranges(segments, assignment):
-    """(c, lo, hi) per sample range [lo, hi) where only output stream c has utterances active."""
-    edges = sorted({x for segment in segments for x in segment})
-    solo = []
-    for lo, hi in zip(edges, edges[1:]):
-        active = {ch for (a, b), ch in zip(segments, assignment) if a <= lo and hi <= b}
-        if len(active) == 1:
-            solo.append((active.pop(), lo, hi))
-    return solo
-
-
 def _evaluate_scene(est_dir, truth_dir, config):
     est_dir, truth_dir = Path(est_dir), Path(truth_dir)
     outputs = [WaveReader(est_dir / f"out{i}.wav") for i in (0, 1)]
@@ -358,21 +348,32 @@ def _evaluate_scene(est_dir, truth_dir, config):
         truth_dir / "mixture.wav", num_samples, rate, config.reference_index
     )
     signals = [*outputs, *streams, mixture.channel(config.reference_index)]
-    solo = _solo_ranges(segments, meta["assignment"])
-    # every score comes from sums: the signals' Gram matrix and solo_energy
-    gram, solo_energy = np.zeros((5, 5)), np.zeros((2, 2))
+    assignment = meta["assignment"]
+    solo = solo_ranges([(a, b, ch) for (a, b), ch in zip(segments, assignment)])
+    # every score comes from sums: the signals' Gram matrix, solo_energy[c]
+    # (each output's energy where stream c alone is active) and cross[k]
+    # (each output's product with utterance k's stream over its segment)
+    gram, solo_energy, cross = np.zeros((5, 5)), np.zeros((2, 2)), np.zeros((len(segments), 2))
     for lo in range(0, num_samples, _EVAL_BLOCK):
-        block = np.vstack([s.read(lo, min(lo + _EVAL_BLOCK, num_samples)) for s in signals])
+        hi = min(lo + _EVAL_BLOCK, num_samples)
+        block = np.vstack([s.read(lo, hi) for s in signals])
         gram += block @ block.T
         for c, a, b in solo:
-            part = block[:2, max(a - lo, 0) : max(b - lo, 0)]
-            solo_energy[c] += np.sum(part**2, axis=1)
+            if a < hi and b > lo:
+                solo_energy[c] += np.sum(block[:2, max(a - lo, 0) : b - lo] ** 2, axis=1)
+        for k, (a, b) in enumerate(segments):
+            if a < hi and b > lo:
+                part = slice(max(a - lo, 0), b - lo)
+                cross[k] += block[:2, part] @ block[2 + assignment[k], part]
     report = permutation_eval(gram)
-    activity = activity_frames_from_segments(
-        segments, num_samples, config.stft.hop, config.stft.window_size
+    # each utterance goes to the output that carries the most of it, as bench/check.py decides
+    frames = activity_frame_ranges(segments, num_samples, config.stft.hop, config.stft.window_size)
+    outputs_used = np.argmax(cross, axis=1).tolist()
+    report.nonmixing_violation_rate = nonmixing_rate(
+        [(a, b, ch) for (a, b), ch in zip(frames, outputs_used)]
     )
-    report.nonmixing_violation_rate = check_nonmixing(meta["assignment"], activity)
-    report.leakage_db = channel_leakage_db(solo_energy)
+    # stream c is in output permutation_used.index(c)
+    report.leakage_db = channel_leakage_db(solo_energy[:, np.argsort(report.permutation_used)])
     return report
 
 

@@ -2,6 +2,7 @@
 nonmixing-condition checking."""
 
 import json
+from collections import Counter
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -110,13 +111,41 @@ def best_permutation_eval(estimates, references, mixture_ref=None):
     return permutation_eval(_gram([*estimates, *references, *mixture]))
 
 
+def activity_runs(intervals):
+    """(lo, hi, counts) per run [lo, hi) of one set of active (lo, hi, channel)
+    intervals, counts[channel] of them; one sweep over their sorted edges."""
+    edges = sorted(
+        (x, step, ch) for lo, hi, ch in intervals if lo < hi for x, step in ((lo, 1), (hi, -1))
+    )
+    counts, runs = Counter(), []
+    for (x, step, ch), (end, _, _) in zip(edges, edges[1:]):
+        counts[ch] += step
+        if end > x and (active := +counts):  # + drops the channels at 0
+            runs.append((x, end, active))
+    return runs
+
+
+def nonmixing_rate(intervals):
+    """Violation rate of the nonmixing condition over (lo, hi, channel) intervals:
+    the share of their active span in which two on one channel are active."""
+    runs = activity_runs(intervals)
+    active = sum(hi - lo for lo, hi, _ in runs)
+    violated = sum(hi - lo for lo, hi, counts in runs if max(counts.values()) > 1)
+    return violated / active if active else 0.0
+
+
+def solo_ranges(intervals):
+    """(channel, lo, hi) per run of (lo, hi, channel) intervals with one channel active."""
+    return [(*counts, lo, hi) for lo, hi, counts in activity_runs(intervals) if len(counts) == 1]
+
+
 def check_nonmixing(assignment, activity):
     """Violation rate of the nonmixing condition for a channel assignment.
 
     assignment: mapping utterance index -> output channel. activity: per
     utterance, a boolean frame-activity array (all the same length). Returns
     the fraction of frames with any activity in which two utterances sharing
-    a channel are simultaneously active.
+    a channel are simultaneously active (nonmixing_rate of the arrays' runs).
     """
     activity = [np.asarray(a, dtype=bool) for a in activity]
     if len(assignment) != len(activity):
@@ -127,16 +156,9 @@ def check_nonmixing(assignment, activity):
         raise ValueError(f"assignment names a negative output channel: {list(assignment)}")
     if len({len(a) for a in activity}) > 1:
         raise ShapeError("activity arrays must share one length")
-    if not activity:
-        return 0.0
-    activity, assignment = np.stack(activity), np.asarray(assignment)
-    active_frames = np.count_nonzero(activity.any(axis=0))
-    if active_frames == 0:
-        return 0.0
-    violated = np.zeros(activity.shape[1], dtype=bool)
-    for ch in set(assignment):
-        violated |= activity[assignment == ch].sum(axis=0) >= 2
-    return np.count_nonzero(violated) / active_frames
+    edges = [np.flatnonzero(np.diff(a, prepend=False, append=False)) for a in activity]
+    runs = [(a, b, ch) for e, ch in zip(edges, assignment) for a, b in e.reshape(-1, 2).tolist()]
+    return nonmixing_rate(runs)
 
 
 def channel_leakage_db(solo_energy):
@@ -154,18 +176,20 @@ def channel_leakage_db(solo_energy):
     return float(np.mean(ratios)) if ratios else None
 
 
-def activity_frames_from_segments(segments, num_samples, hop, window_size):
-    """Convert per-utterance sample segments to per-frame boolean activity.
-
-    A frame is active when its window overlaps the active sample range.
-    """
+def activity_frame_ranges(segments, num_samples, hop, window_size):
+    """Per [start, end) sample segment, the frames [lo, hi) whose window overlaps it."""
     frames = (num_samples - window_size) // hop + 1
-    out = []
+    ranges = []
     for start, end in segments:
-        active = np.zeros(frames, dtype=bool)
-        if end > start:
-            first = max((start - window_size) // hop + 1, 0)  # first t: t*hop + W > start
-            stop = max(-(-end // hop), 0)  # first t with t*hop >= end
-            active[int(first) : int(stop)] = True
-        out.append(active)
+        lo = max((start - window_size) // hop + 1, 0)  # first t: t*hop + W > start
+        hi = min(-(-end // hop), frames) if end > start else lo  # first t with t*hop >= end
+        ranges.append((lo, max(hi, lo)))
+    return ranges
+
+
+def activity_frames_from_segments(segments, num_samples, hop, window_size):
+    """activity_frame_ranges as per-frame boolean activity arrays."""
+    out = [np.zeros((num_samples - window_size) // hop + 1, dtype=bool) for _ in segments]
+    for a, (lo, hi) in zip(out, activity_frame_ranges(segments, num_samples, hop, window_size)):
+        a[lo:hi] = True
     return out

@@ -21,7 +21,7 @@ from unmix.cli import EXIT_DATA, EXIT_INVARIANT, EXIT_OK, main
 from unmix.config import load_pipeline_config
 from unmix.errors import ConfigurationError, FormatError, ShapeError, UnsupportedFormatError
 from unmix.masks import FileMaskProvider, MaskSet, OracleMaskProvider, oracle_masks
-from unmix.metrics import best_permutation_eval
+from unmix.metrics import best_permutation_eval, solo_ranges
 from unmix.signal_io import (
     MultichannelWave,
     WaveReader,
@@ -162,9 +162,9 @@ def _masking_peak_mb(tmp_path, seconds, rng, provider, settings=()):
 
 
 def _evaluate_peak_mb(tmp_path, seconds, rng):
-    """Peak RSS (MB) of `evaluate`, in a fresh process, of mono float32
-    noise estimates against a truth directory of `seconds` of 7-channel
-    float32 noise, two mono tracks and two utterances."""
+    """Peak RSS (MB) of `evaluate`, in a fresh process, against a truth
+    directory of `seconds` of 7-channel float32 noise, two mono noise tracks
+    and two utterances, of estimates that are those tracks (exit 0)."""
     rate, n = 16000, seconds * 16000
     truth, est = tmp_path / f"truth{seconds}", tmp_path / f"est{seconds}"
     truth.mkdir()
@@ -175,8 +175,10 @@ def _evaluate_peak_mb(tmp_path, seconds, rng):
     mixture = 0.1 * rng.standard_normal((n, 7), dtype=np.float32)
     scipy.io.wavfile.write(truth / "mixture.wav", rate, mixture)
     del mixture
-    for path in (truth / "source0.wav", truth / "source1.wav", est / "out0.wav", est / "out1.wav"):
-        scipy.io.wavfile.write(path, rate, 0.1 * rng.standard_normal(n, dtype=np.float32))
+    for k in (0, 1):
+        track = 0.1 * rng.standard_normal(n, dtype=np.float32)
+        for path in (truth / f"source{k}.wav", est / f"out{k}.wav"):
+            scipy.io.wavfile.write(path, rate, track)
     probe = subprocess.run(
         [sys.executable, "-c", MEMORY_PROBE, "evaluate", str(est), str(truth)],
         capture_output=True, text=True, check=True, env=_env_with_src(),
@@ -388,6 +390,29 @@ class TestSeparate:
             ]
         )
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("mode", ["masking", "beamforming"])
+    def test_output_edges_are_not_amplified(self, tmp_path, mode):
+        # clipped full-scale noise and random masks: no frame is consistent,
+        # so the overlap-add's gain at the first and last window_size samples
+        # shows in the output peaks
+        from unmix.stitcher import WindowPlan, plan_windows
+
+        rng, rate, stft, plan = np.random.default_rng(5), 16000, StftConfig(), WindowPlan()
+        samples = np.clip(0.5 * rng.standard_normal((6 * rate, 7)), -1.0, 1.0)
+        scipy.io.wavfile.write(tmp_path / "noise.wav", rate, samples.astype(np.float32))
+        windows = len(plan_windows(stft.frame_count(6 * rate), plan))
+        shapes = ((2, plan.window_frames, stft.bins), (plan.window_frames, stft.bins))
+        sets = [MaskSet(*(rng.uniform(0, 1, shape) for shape in shapes)) for _ in range(windows)]
+        write_mask_file(tmp_path / "masks.umxm", sets, plan.hop_frames)
+        argv = ["separate", str(tmp_path / "noise.wav"), str(tmp_path / "sep")]
+        argv += ["--set", f"mask_provider=file:{tmp_path / 'masks.umxm'}", "--set", f"mode={mode}"]
+        assert main(argv) == EXIT_OK
+        size = stft.window_size
+        for i in (0, 1):
+            out = np.abs(read_wave(tmp_path / "sep" / f"out{i}.wav").samples[0])
+            edges = np.concatenate([out[:size], out[-size:]])
+            assert edges.max() <= np.sqrt(2.0) * out[size:-size].max(), (i, edges.max())
 
     def test_file_provider_window_mismatch_is_data_error(self, tmp_path, rng):
         scene = _simulate(tmp_path)
@@ -1005,7 +1030,8 @@ class TestEvaluate:
 
     def test_report_does_not_depend_on_the_block_size(self, tmp_path, shared_scene, monkeypatch):
         # 1001-sample blocks: the signals and the activity segments straddle
-        # block edges, and the last block is a short one
+        # block edges, and the last block is a short one; both estimates
+        # carry both talkers, so the non-mixing rate is not 0 (exit 3)
         mixture = read_wave(shared_scene / "mixture.wav").samples
         est = tmp_path / "est"
         est.mkdir()
@@ -1015,14 +1041,49 @@ class TestEvaluate:
         reports = []
         for block in (unmix.cli._EVAL_BLOCK, 1001):
             monkeypatch.setattr(unmix.cli, "_EVAL_BLOCK", block)
-            assert main(["evaluate", str(est), str(shared_scene)]) == EXIT_OK
+            assert main(["evaluate", str(est), str(shared_scene)]) == EXIT_INVARIANT
             reports.append(json.loads((est / "report.json").read_text()))
         default, small = reports
         assert mixture.shape[1] % 1001 and default["leakage_db"] is not None
+        assert default["nonmixing_violation_rate"] > 0.0
         assert small["permutation_used"] == default["permutation_used"]
         assert small["nonmixing_violation_rate"] == default["nonmixing_violation_rate"]
         for key in ("per_channel_si_sdr", "si_sdr_improvement", "leakage_db"):
             assert np.allclose(small[key], default[key], rtol=0.0, atol=1e-9), key
+
+    def test_leakage_follows_the_permutation_found(self, tmp_path, shared_scene):
+        sep, swapped = tmp_path / "sep", tmp_path / "swapped"
+        argv = ["separate", str(shared_scene / "mixture.wav"), str(sep)]
+        assert main(argv + ["--truth-dir", str(shared_scene)]) == EXIT_OK
+        swapped.mkdir()
+        for i in (0, 1):
+            shutil.copy(sep / f"out{i}.wav", swapped / f"out{1 - i}.wav")
+        reports = []
+        for est in (sep, swapped):
+            assert main(["evaluate", str(est), str(shared_scene)]) == EXIT_OK
+            reports.append(json.loads((est / "report.json").read_text()))
+        assert [r["permutation_used"] for r in reports] == [[0, 1], [1, 0]]
+        assert reports[0]["leakage_db"] < -10.0
+        assert reports[1]["leakage_db"] == reports[0]["leakage_db"]
+
+    def test_nonmixing_rate_reads_the_estimates(self, tmp_path, shared_scene):
+        # the rate assigns each utterance to the output that carries most of
+        # it: the truth streams pass, two copies of the mixture do not
+        mixture_ref = read_wave(shared_scene / "mixture.wav").samples[0]
+        n = len(mixture_ref)
+        streams = [s.read(0, n)[0] for s in unmix.cli._load_truth(shared_scene, n, 16000)[1]]
+        rates = []
+        for name, estimates, code in (
+            ("truth", streams, EXIT_OK),
+            ("mixture", [mixture_ref, mixture_ref], EXIT_INVARIANT),
+        ):
+            est = tmp_path / name
+            est.mkdir()
+            for i in (0, 1):
+                write_wave(MultichannelWave(estimates[i], 16000), est / f"out{i}.wav")
+            assert main(["evaluate", str(est), str(shared_scene)]) == code
+            rates.append(json.loads((est / "report.json").read_text())["nonmixing_violation_rate"])
+        assert rates[0] == 0.0 and rates[1] > 0.0
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1031,13 +1092,11 @@ class TestEvaluate:
         )
     )
     def test_solo_ranges_match_per_sample_activity(self, utterances):
-        segments = [[lo, hi] for lo, hi, _ in utterances]
-        assignment = [ch for _, _, ch in utterances]
         active = np.zeros((2, 41), dtype=bool)
-        for (lo, hi), ch in zip(segments, assignment):
+        for lo, hi, ch in utterances:
             active[ch, lo:hi] = True
         solo = np.zeros((2, 41), dtype=bool)
-        for c, lo, hi in unmix.cli._solo_ranges(segments, assignment):
+        for c, lo, hi in solo_ranges(utterances):
             assert lo < hi and not solo[:, lo:hi].any()
             solo[c, lo:hi] = True
         np.testing.assert_array_equal(solo, active & ~active[::-1])
@@ -1053,7 +1112,9 @@ class TestEvaluate:
             )
         config = tmp_path / "pipeline.cfg"
         config.write_text("reference_index = 3\n")
-        assert main(["evaluate", str(est), str(scene), "--config", str(config)]) == EXIT_OK
+        # mixture channels carry both talkers, so the non-mixing rate is not 0
+        argv = ["evaluate", str(est), str(scene), "--config", str(config)]
+        assert main(argv) == EXIT_INVARIANT
         report = json.loads((est / "report.json").read_text())
 
         from unmix.cli import _load_truth

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,15 @@ from hypothesis import strategies as st
 from unmix.errors import ShapeError, UndefinedMetricError
 from unmix.metrics import (
     SI_SDR_CAP_DB,
+    activity_frame_ranges,
     activity_frames_from_segments,
+    activity_runs,
     best_permutation_eval,
     channel_leakage_db,
     check_nonmixing,
+    nonmixing_rate,
     si_sdr,
+    solo_ranges,
 )
 
 
@@ -210,6 +216,77 @@ class TestCheckNonmixing:
         assert check_nonmixing((5, 5), [np.ones(4, bool), np.zeros(4, bool)]) == 0.0
 
 
+def per_frame_nonmixing(assignment, activity):
+    """The nonmixing rule frame by frame: the share of frames with any
+    activity in which some channel has two utterances active."""
+    if not activity:
+        return 0.0
+    activity, assignment = np.stack(activity), np.asarray(assignment)
+    active_frames = np.count_nonzero(activity.any(axis=0))
+    if active_frames == 0:
+        return 0.0
+    violated = np.zeros(activity.shape[1], dtype=bool)
+    for ch in set(assignment):
+        violated |= activity[assignment == ch].sum(axis=0) >= 2
+    return np.count_nonzero(violated) / active_frames
+
+
+@st.composite
+def utterance_activity(draw):
+    """An assignment to channels 0-5 and, per utterance, a boolean frame
+    array made of several (possibly touching or overlapping) runs."""
+    frames = draw(st.integers(1, 60))
+    assignment, activity = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        active = np.zeros(frames, dtype=bool)
+        runs = st.tuples(st.integers(0, frames - 1), st.integers(1, 12))
+        for start, length in draw(st.lists(runs, max_size=4)):
+            active[start : start + length] = True
+        activity.append(active)
+        assignment.append(draw(st.integers(0, 5)))
+    return assignment, activity
+
+
+class TestActivityRuns:
+    def test_hand_checked_runs(self):
+        intervals = [(0, 4, 0), (2, 6, 0), (3, 5, 1), (7, 7, 1), (9, 8, 0)]
+        assert activity_runs(intervals) == [
+            (0, 2, {0: 1}),
+            (2, 3, {0: 2}),
+            (3, 4, {0: 2, 1: 1}),
+            (4, 5, {0: 1, 1: 1}),
+            (5, 6, {0: 1}),
+        ]
+        assert solo_ranges(intervals) == [(0, 0, 2), (0, 2, 3), (0, 5, 6)]  # one channel, any count
+        assert nonmixing_rate(intervals) == 2 / 6  # frames 2 and 3 of 0..5
+        assert nonmixing_rate([]) == 0.0 and solo_ranges([]) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(utterance_activity())
+    def test_check_nonmixing_equals_the_per_frame_rule(self, case):
+        assignment, activity = case
+        assert check_nonmixing(assignment, activity) == per_frame_nonmixing(assignment, activity)
+
+    def test_memory_of_the_range_path_does_not_grow_with_the_recording(self):
+        # 1 h at 16 kHz, 1,000 utterances of 3 s; one boolean frame array per
+        # utterance would take 1000 x 224,999 bytes
+        rng = np.random.default_rng(5)
+        num_samples, length = 3600 * 16000, 3 * 16000
+        starts = rng.integers(0, num_samples - length, 1000).tolist()
+        segments = [(start, start + length) for start in starts]
+        channels = rng.integers(0, 2, 1000).tolist()
+        tracemalloc.start()
+        try:
+            ranges = activity_frame_ranges(segments, num_samples, 256, 512)
+            rate = nonmixing_rate([(lo, hi, ch) for (lo, hi), ch in zip(ranges, channels)])
+            solo = solo_ranges([(a, b, ch) for (a, b), ch in zip(segments, channels)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6, peak
+        assert 0.0 < rate < 1.0 and solo
+
+
 def solo_energy(estimates, activity):
     """The table channel_leakage_db takes, from per-sample stream activity:
     entry [c][i] is the energy of estimate i where stream c alone is active."""
@@ -261,9 +338,13 @@ class TestActivityFrames:
         window_size = hop + extra
         num_samples = window_size + (frames - 1) * hop + data.draw(st.integers(0, hop - 1))
         bound = num_samples + 2 * window_size
-        segments = data.draw(
-            st.lists(st.tuples(st.integers(0, bound), st.integers(0, bound)), max_size=4)
+        utterances = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, bound), st.integers(0, bound), st.integers(0, 2)),
+                max_size=4,
+            )
         )
+        segments = [(start, end) for start, end, _ in utterances]
         out = activity_frames_from_segments(segments, num_samples, hop, window_size)
         assert len(out) == len(segments)
         for (start, end), active in zip(segments, out):
@@ -273,3 +354,10 @@ class TestActivityFrames:
                     lo, hi = t * hop, t * hop + window_size
                     expected[t] = lo < end and hi > start
             np.testing.assert_array_equal(active, expected)
+        # the ranges evaluate scores are the arrays' runs, and rate alike
+        ranges = activity_frame_ranges(segments, num_samples, hop, window_size)
+        for (lo, hi), active in zip(ranges, out):
+            np.testing.assert_array_equal(np.flatnonzero(active), np.arange(lo, hi))
+        channels = [ch for _, _, ch in utterances]
+        intervals = [(lo, hi, ch) for (lo, hi), ch in zip(ranges, channels)]
+        assert nonmixing_rate(intervals) == check_nonmixing(channels, out)
