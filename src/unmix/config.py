@@ -2,12 +2,10 @@
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .dereverb import WpeConfig
 from .errors import ConfigurationError, FormatError, GeometryError
 from .masks import DOA_MERGE_THRESHOLD_DEG
-from .signal_io import ArrayGeometry, circular_array
+from .signal_io import ARRAY_RADIUS, ArrayGeometry, circular_array
 from .stft import StftConfig
 from .stitcher import WindowPlan
 from .simulator import MixtureSpec, RoomSpec
@@ -49,11 +47,20 @@ def _floats(text):
     return [float(v) for v in text.split()]
 
 
+# the keys a scene file may give
+SCENE_KEYS = (
+    "room_dim", "t60", "array_center", "source", "array_radius",
+    "config", "gains_db", "snr_db", "duration", "seed",
+)
+
+
 def load_scene_spec(path):
     """The (RoomSpec, MixtureSpec) of a scene file. The specs check their own
     values; this checks the keys and the counts that `config` sets."""
     values = parse_kv_file(path)
     for key, value in values.items():
+        if key not in SCENE_KEYS:
+            raise ConfigurationError(f"{path}: unknown scene key {key!r}")
         if isinstance(value, list) and key != "source":
             raise ConfigurationError(f"{path}: key {key!r} is given more than once")
     try:
@@ -77,15 +84,12 @@ def load_scene_spec(path):
             raise ValueError(
                 f"gains_db needs {count} value(s), got {len(mix.utterance_gains_db)}"
             )
-        radius = float(values.get("array_radius", "0.0425"))
-        if not (np.isfinite(radius) and radius > 0):
-            raise ValueError(f"array_radius must be finite and > 0, got {radius}")
         room = RoomSpec(
             dimensions=_floats(values["room_dim"]),
             t60=float(values.get("t60", "0.3")),
             source_positions=[_floats(s) for s in sources],
             array_center=_floats(values["array_center"]),
-            array_geometry=circular_array(radius=radius),
+            array_geometry=circular_array(radius=float(values.get("array_radius", ARRAY_RADIUS))),
         )
     except KeyError as exc:
         raise ConfigurationError(f"{path}: missing required field {exc}") from exc
@@ -107,7 +111,7 @@ class PipelineConfig:
     mode: str = "masking"  # or "beamforming"
     dereverb: bool = False
     wpe: WpeConfig = field(default_factory=WpeConfig)
-    array_radius: float = 0.0425
+    array_radius: float = ARRAY_RADIUS
     reference_index: int = 0
     doa_merge_threshold_deg: float = DOA_MERGE_THRESHOLD_DEG
 
@@ -118,14 +122,12 @@ class PipelineConfig:
             raise ValueError(
                 f"mask_provider must be 'oracle' or 'file:<path>', got {self.mask_provider!r}"
             )
-        if not (np.isfinite(self.array_radius) and self.array_radius > 0):
-            raise ValueError(f"array_radius must be finite and > 0, got {self.array_radius}")
         if not 0 <= self.doa_merge_threshold_deg <= 180:  # NaN fails too
             raise ValueError(
                 "doa_merge_threshold_deg must be in [0, 180], "
                 f"got {self.doa_merge_threshold_deg}"
             )
-        self.geometry()  # ArrayGeometry checks reference_index
+        self.geometry()  # circular_array checks array_radius, ArrayGeometry reference_index
 
     def geometry(self):
         geo = circular_array(radius=self.array_radius)

@@ -4,10 +4,9 @@ count and the OpenBLAS thread pin it runs them under."""
 import ctypes
 import functools
 import os
-import queue
 import threading
 from collections import deque
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from itertools import islice
 
@@ -84,78 +83,64 @@ def ordered(jobs, ahead=None):
     """Yield the results of the zero-argument callables `jobs`, in order.
 
     The calling thread takes job n once the results before job n - `ahead`
-    are yielded. Jobs run on one helper thread per further CPU and on the
-    calling thread, with OpenBLAS held to one thread (one_blas_thread);
-    while the oldest job is unfinished, the calling thread runs the first
-    one no thread has started. With helpers, `ahead` is by default one more
-    than the threads that run jobs, so a job is queued for the first thread
-    to finish while the calling thread runs one or takes the next. Where no
-    OpenBLAS thread setting is found, or only one CPU, every job runs on the
-    calling thread and `ahead` is by default 1.
+    are yielded. Jobs run on a standard-library pool (ThreadPoolExecutor) of
+    one thread per further CPU and on the calling thread, with OpenBLAS held
+    to one thread (one_blas_thread); while the oldest job is unfinished, the
+    calling thread runs the first one no pool thread has started. With a
+    pool, `ahead` is by default one more than the threads that run jobs, so
+    a job is queued for the first thread to finish while the calling thread
+    runs one or takes the next. Where no OpenBLAS thread setting is found,
+    or only one CPU, every job runs on the calling thread and `ahead` is by
+    default 1.
 
     An error in a job is raised when its result is due, in job order. No job
     is kept once it has run, so what only it holds is freed before its
     result is yielded. Closing the generator drops the jobs not yet started
-    and waits for the helpers to stop.
+    and waits for the pool's threads to stop.
     """
     jobs = iter(jobs)
-    unstarted = queue.SimpleQueue()  # (job, future) pairs no thread has begun
-    pending = deque()  # the futures of the jobs taken and not yet yielded, oldest first
-    helpers = []
-
-    def serve():
-        while _run_next(unstarted, block=True):
-            pass
-
+    pending = deque()  # (future, [job]) of the jobs taken and not yet yielded, oldest first
     with one_blas_thread():
         spare = job_threads() - 1
         ahead = ahead or (spare + 2 if spare else 1)
+        pool = ThreadPoolExecutor(spare, "unmix-worker") if spare else None
         try:
-            _take(jobs, ahead, pending, unstarted)
-            for _ in range(min(spare, len(pending))):
-                helper = threading.Thread(target=serve, name="unmix-worker")
-                helper.start()
-                helpers.append(helper)
+            _take(jobs, ahead, pending, pool)
             while pending:
-                while not pending[0].done() and _run_next(unstarted, block=False):
+                while not pending[0][0].done() and _take_back(pending):
                     pass
-                result = pending.popleft().result()
-                _take(jobs, ahead - len(pending), pending, unstarted)
+                result = pending.popleft()[0].result()
+                _take(jobs, ahead - len(pending), pending, pool)
                 yield result
         finally:
-            try:  # drop the jobs not yet started
-                while True:
-                    unstarted.get_nowait()
-            except queue.Empty:
-                pass
-            for _ in helpers:
-                unstarted.put((None, None))
-            for helper in helpers:
-                helper.join()
+            if pool:
+                pool.shutdown(cancel_futures=True)
 
 
-def _take(jobs, n, pending, unstarted):
-    """Take up to n more jobs, each with the future of its result. A function
-    of its own, so that no local of ordered keeps the last job taken."""
+def _take(jobs, n, pending, pool):
+    """Take up to n more jobs, each with the future of its result: run on
+    the pool, or, without one, left for the calling thread. A function of
+    its own, so that no local of ordered keeps the last job taken."""
     for job in islice(jobs, n):
-        pending.append(Future())
-        unstarted.put((job, pending[-1]))
+        box = [job]
+        pending.append((pool.submit(_run, box) if pool else Future(), box))
 
 
-def _run_next(unstarted, block):
-    """Run the first job no thread has begun and settle its future; False
-    if there is none, or if a helper is told to stop."""
-    try:
-        job, future = unstarted.get(block)
-    except queue.Empty:
-        return False
-    if job is None:
-        return False
-    try:
-        result = job()
-    except Exception as exc:  # raised from the future when its result is due
-        future.set_exception(exc)
-    else:
-        del job  # so what only the job holds is freed before its result is yielded
-        future.set_result(result)
-    return True
+def _take_back(pending):
+    """Run the first job taken that no pool thread has started, on this
+    thread, and settle a future of its own; False if there is none."""
+    for i, (future, box) in enumerate(pending):
+        if future.cancel():  # succeeds only on a job not yet started
+            pending[i] = (future := Future(), box)
+            try:
+                future.set_result(_run(box))
+            except Exception as exc:  # raised from the future when its result is due
+                future.set_exception(exc)
+            return True
+    return False
+
+
+def _run(box):
+    """Run the one job in `box`, taken out first so that what only it holds
+    is freed before its result is yielded."""
+    return box.pop()()

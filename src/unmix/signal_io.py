@@ -14,6 +14,7 @@ from .errors import FormatError, RangeError, UnsupportedFormatError
 log = logging.getLogger(__name__)
 
 SPEED_OF_SOUND = 343.0  # m/s
+ARRAY_RADIUS = 0.0425  # m, the ring of the default array
 
 MASK_MAGIC = b"UMXM"
 MASK_VERSION = 1
@@ -66,12 +67,15 @@ class ArrayGeometry:
         return len(self.positions)
 
 
-def circular_array(channels=7, radius=0.0425, center_mic=True):
+def circular_array(channels=7, radius=ARRAY_RADIUS, center_mic=True):
     """Build a planar circular array, optionally with a center microphone.
 
     Default is 7 channels: one center mic (the reference, index 0) plus six
-    mics evenly spaced on a 4.25 cm-radius circle.
+    mics evenly spaced on a 4.25 cm-radius circle. The radius must be
+    finite and > 0.
     """
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"array_radius must be finite and > 0, got {radius}")
     n_ring = channels - 1 if center_mic else channels
     angles = 2.0 * np.pi * np.arange(n_ring) / n_ring
     ring = np.stack(

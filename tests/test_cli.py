@@ -315,6 +315,7 @@ class TestSimulate:
             ("seed = 3", "seed = 3\narray_radius = -0.05"),
             ("seed = 3", "seed = -1"),
             ("seed = 3", "seed = 3\ngains_db = 0 inf"),
+            ("snr_db = 20", "snr = 5"),
         ],
     )
     def test_scene_checks_run_at_load(self, tmp_path, capsys, old, new):

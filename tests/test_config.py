@@ -127,6 +127,8 @@ class TestSceneSpec:
             ("snr_db = 15", "snr_db = -inf", "noise_snr_db"),
             ("seed = 3", "seed = -1", "seed"),
             ("duration = 4", "duration = 4\nduration = 3", "more than once"),
+            ("snr_db = 15", "snr = 5", "file.cfg: unknown scene key 'snr'"),
+            ("seed = 3", "seed = 3\nsources = 2", "file.cfg: unknown scene key 'sources'"),
         ],
     )
     def test_scene_checks_run_at_load(self, tmp_path, old, new, message):

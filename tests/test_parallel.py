@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import weakref
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -78,7 +79,8 @@ class TestOrdered:
             sys.setswitchinterval(interval)
         assert results == list(range(len(delays)))
         assert runs == [1] * len(delays)
-        assert "MainThread" in threads and "unmix-worker" in threads
+        assert "MainThread" in threads
+        assert any(name.startswith("unmix-worker") for name in threads)
         assert not _helper_threads()
 
     @pytest.mark.parametrize("failing", ["calling thread", "helper"])
@@ -179,6 +181,66 @@ class TestOrdered:
             yielded += 1
         assert yielded == len(delays)
         assert max(lead) == lookahead
+
+    def test_the_calling_thread_runs_later_jobs_while_the_pool_thread_is_held(
+        self, blas, monkeypatch
+    ):
+        _workers(monkeypatch, 2)
+        on_main, held = [], []
+        moved = threading.Condition()
+
+        def job(i):
+            if _on_main():
+                time.sleep(0.002)  # leave the pool thread time to start a job
+                with moved:
+                    on_main.append(i)
+                    moved.notify_all()
+            else:
+                with moved:
+                    if not held:  # the first job on the pool's one thread waits
+                        held.append(i)
+                        assert moved.wait_for(lambda: sum(j > i for j in on_main) >= 3, 10)
+            return i
+
+        results = list(ordered((functools.partial(job, i) for i in range(40)), ahead=10))
+        assert results == list(range(40))
+        assert held and sum(j > held[0] for j in on_main) >= 3
+        assert len(set(on_main)) == len(on_main)
+
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_a_job_generator_may_drain_an_ordered_of_its_own(self, blas, monkeypatch, pinned):
+        if not pinned:
+            monkeypatch.setattr(unmix.parallel, "blas_thread_calls", lambda: None)
+        _workers(monkeypatch, 3)
+        runs = []
+
+        def job(*key):
+            runs.append(key)
+            time.sleep(0.001)
+            return key
+
+        def jobs():  # as WpeFrames solves its bands while the windows are read
+            for i in range(12):
+                inner = ordered(functools.partial(job, i, k) for k in range(5))
+                yield functools.partial(job, i, *(k for _, k in inner))
+
+        results = list(ordered(jobs()))
+        assert results == [(i, 0, 1, 2, 3, 4) for i in range(12)]
+        assert sorted(runs) == sorted(results + [(i, k) for i in range(12) for k in range(5)])
+        assert not _helper_threads()
+        assert blas.threads == 8
+
+    def test_a_list_of_jobs_runs_each_once(self, blas, monkeypatch):
+        _workers(monkeypatch, 3)
+        runs = [0] * 20
+
+        def job(i):
+            runs[i] += 1
+            return i
+
+        jobs = [functools.partial(job, i) for i in range(20)]
+        assert list(islice(ordered(jobs), 21)) == list(range(20))
+        assert runs == [1] * 20
 
     @pytest.mark.parametrize("pinned", [True, False])
     def test_a_job_is_freed_before_its_result_is_yielded(self, blas, monkeypatch, pinned):
