@@ -18,25 +18,34 @@ _BAND_BINS = 16  # bins whose covariances sig_cov computes together
 def sig_cov(window_data, masks):
     """Spatial covariances of the masked signal, one per mask.
 
-    window_data: (J, frames, bins) complex; masks: float (..., frames, bins) in
-    [0, 1], e.g. a stack of H heads. Returns (..., bins, J, J). Per head and
-    frequency: Phi_f = sum_t (m x)(m x)^H / max(sum_t m^2, eps), i.e. the mask
-    is applied to the signal before the outer product. Per band of
-    _BAND_BINS bins it is one batched matmul (m^2 x) @ x^H, whose conjugated
-    side is shared by the whole stack; the bands bound the (..., bins, J,
-    frames) temporary without changing the output. An empty mask yields zero
-    matrices.
+    window_data: (J, frames, bins) complex, or the caller's sequence of
+    (J, n, bins) pieces whose frames, in order, are the window's
+    (FrameSource.pieces); masks: float (..., frames, bins) in [0, 1], e.g. a
+    stack of H heads. Returns (..., bins, J, J). Per head and frequency:
+    Phi_f = sum_t (m x)(m x)^H / max(sum_t m^2, eps), i.e. the mask is
+    applied to the signal before the outer product. Per band of _BAND_BINS
+    bins it is one batched matmul (m^2 x) @ x^H on the band's C-order (Fb,
+    J, frames) copy, filled piece by piece, whose conjugated side is shared
+    by the whole stack; the bands bound the (..., bins, J, frames)
+    temporary, and neither they nor the split change the output. An empty
+    mask yields zero matrices.
     """
-    if masks.shape[-2:] != window_data.shape[1:]:
+    pieces = (window_data,) if isinstance(window_data, np.ndarray) else window_data
+    j, _, bins = pieces[0].shape
+    frames = sum(piece.shape[1] for piece in pieces)
+    if masks.shape[-2:] != (frames, bins):
         raise ShapeError("masks must align with window frames x bins")
-    j, _, bins = window_data.shape
     power = masks**2
     weight = np.swapaxes(power, -1, -2)[..., np.newaxis, :]  # (..., F, 1, T)
     denom = np.maximum(np.sum(power, axis=-2), EPS)[..., np.newaxis, np.newaxis]  # (..., F, 1, 1)
     out = np.empty(masks.shape[:-2] + (bins, j, j), dtype=np.complex128)
     for lo in range(0, bins, _BAND_BINS):
         band = slice(lo, lo + _BAND_BINS)
-        x = np.ascontiguousarray(np.transpose(window_data[:, :, band], (2, 0, 1)))  # (Fb, J, T)
+        x = np.empty((min(_BAND_BINS, bins - lo), j, frames), np.complex128)  # (Fb, J, T)
+        t = 0
+        for piece in pieces:
+            x[:, :, t : t + piece.shape[1]] = np.transpose(piece[:, :, band], (2, 0, 1))
+            t += piece.shape[1]
         num = (weight[..., band, :, :] * x) @ np.swapaxes(np.conj(x), -1, -2)  # (..., Fb, J, J)
         out[..., band, :, :] = num / denom[..., band, :, :]
     return out
@@ -152,16 +161,16 @@ def gain_adjust(beamformed, mask, ref_mag):
     return beamformed * np.minimum(1.0, cap, out=cap)
 
 
-def beamform_window(window_data, mask_set, reference_index, covariances, frames=slice(None)):
+def beamform_window(data, mask_set, reference_index, covariances, frames=slice(None)):
     """Beamform one window's two speech heads, as one stack, into two outputs.
 
-    window_data: (J, frames, bins) complex slice of the mixture;
-    covariances: the window_covariances of mask_set over it. The weights
-    come from the whole window and are applied to its `frames`, a slice.
-    Returns (2, the selected frames, bins) complex.
+    data: (J, n, bins) complex, the mixture in the window's `frames`, a
+    slice of the window (by default all of it); covariances: the
+    window_covariances of mask_set over the whole window. The weights come
+    from the whole window and are applied to data, capped by the masks of
+    `frames`. Returns (2, n, bins) complex.
     """
     target = principal_component(covariances.value, covariances.vector)
     weights = mvdr_weights(target, covariances.psi, reference_index)
-    data = window_data[:, frames]
     beamformed = apply_weights(weights, data)
     return gain_adjust(beamformed, mask_set.speech[:, frames], np.abs(data[reference_index]))

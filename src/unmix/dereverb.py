@@ -204,6 +204,12 @@ class WpeFrames(FrameSource):
         out = wpe_block(Spectrogram(context, self.config, self.sample_rate), self.wpe)
         return out.data[:, lo - context_start :]
 
+    def pieces(self, start, end):
+        """Frames [start, end) as one piece, frames(start, end): each block is
+        a view of its whole context's solution, which the views of a range
+        would keep alive, so a range is joined, and the frames held once."""
+        return (self.frames(start, end),)
+
 
 def wpe_stream(spec, config=None):
     """All WpeFrames of a Spectrogram, as one Spectrogram. A signal no

@@ -134,15 +134,20 @@ def estimate_doa(masks, spec, geometry):
     masks: (frames, bins), or a stack (..., frames, bins) of such masks.
     The principal eigenvectors of the mask-weighted spatial covariances are
     matched by doa_from_eigenvectors: a float for one mask, an array of the
-    leading shape for a stack.
+    leading shape for a stack. Only the bins that vote, those of doa_grid's
+    band, have their covariances and eigenvectors computed.
     """
     masks = np.asarray(masks, dtype=np.float64)
     if masks.shape[-2:] != (spec.frame_count, spec.bins):
         raise ShapeError("mask must be frames x bins aligned with the spectrogram")
     if np.any(np.sum(masks, axis=(-2, -1)) < EPS):
         raise NoSignalError("all-zero mask carries no direction information")
-    _, vector = principal_pair(sig_cov(spec.data, masks))
-    return doa_from_eigenvectors(vector, spec.bin_frequencies(), geometry)
+    freqs = spec.bin_frequencies()
+    band = doa_grid(geometry, freqs)[0]
+    _, in_band = principal_pair(sig_cov(spec.data[:, :, band], masks[..., band]))
+    vector = np.zeros(masks.shape[:-2] + (spec.bins, spec.channel_count), np.complex128)
+    vector[..., band, :] = in_band
+    return doa_from_eigenvectors(vector, freqs, geometry)
 
 
 def circular_difference_deg(a, b):
@@ -156,7 +161,9 @@ def merge_heads_if_same_doa(
     """Merge the two speech heads when their DOA estimates nearly coincide.
 
     The DOAs come from covariances, the window_covariances of mask_set over
-    spec, or without them from estimate_doa on the speech heads.
+    the window, or without them from estimate_doa on the speech heads over
+    spec, the window's Spectrogram. With covariances, spec is read only for
+    its bin_frequencies(), which any frame source on the window's grid has.
     If the circular DOA difference is strictly below the threshold the head
     with the larger total mask mass absorbs the elementwise sum (clipped to 1)
     and the other head is zeroed, sharing mask_set's noise array; mask_set
@@ -210,10 +217,11 @@ class _RatioMasks(FrameSource):
     speech 1, noise), as the three channels of a frame source: each frame's
     masks come from that frame of the three alone."""
 
+    dtype = np.float64
+
     def __init__(self, truth):
         super().__init__(truth[0], truth[0].config, truth[0].frame_count)
         self.channel_count, self._source = len(truth), truth
-        self._data = np.empty((self.channel_count, 0, self.bins))
 
     def _next(self, lo, end):
         mags = [np.abs(s.frames(lo, end)[0]) for s in self._source]

@@ -81,6 +81,10 @@ class Spectrogram:
         """Frames [start, end), the frame interface FrameSource shares."""
         return self.data[:, start:end]
 
+    def pieces(self, start, end):
+        """Frames [start, end) as one view, the piece interface FrameSource shares."""
+        return (self.data[:, start:end],)
+
 
 _CHUNK_FRAMES = 64  # frames asked for at a time when a whole Spectrogram is collected
 
@@ -90,12 +94,14 @@ class FrameSource:
 
     The frames are made from `source`, which gives the sample rate and
     channel count, on the grid of StftConfig `config`. A subclass gives
-    _next(lo, end), the frames [lo, hi) for some hi > lo. Frames a range
-    shares with the previous one are carried over, only the frames past
-    those made so far are asked of _next, and only the frames from the
-    latest start on are kept. The source is read forward only, so it is
+    _next(lo, end), the frames [lo, hi) for some hi > lo, as one array (a
+    piece). The pieces are kept as made, each made once: a range asks _next
+    only for the frames past those made so far, and only the frames from
+    the latest start on are kept. The source is read forward only, so it is
     let go once the last frame is made.
     """
+
+    dtype = np.complex128  # of the empty range served while no frame is kept
 
     def __init__(self, source, config, frame_count):
         self.config = config
@@ -104,28 +110,55 @@ class FrameSource:
         self.frame_count = frame_count
         self.bins = config.bins
         self._source = source
-        self._start = self._end = 0  # _data holds frames [_start, _end)
-        self._data = np.empty((self.channel_count, 0, self.bins), dtype=np.complex128)
+        self._start = self._end = 0  # _kept holds frames [_start, _end), in order
+        self._kept = []
 
-    def frames(self, start, end):
-        """Frames [start, end) as a (channels, end - start, bins) array."""
+    def bin_frequencies(self):
+        return self.config.bin_frequencies(self.sample_rate)
+
+    def pieces(self, start, end):
+        """Frames [start, end) as a tuple of (channels, n, bins) views of the
+        kept pieces, which cover the range in order; an empty range is one
+        empty piece. A range shares the memory of the frames it overlaps
+        with any range served before, and its views keep that memory alive
+        for whoever holds them, after the source has let the pieces go."""
+        return self._cover(start, end)
+
+    def _cover(self, start, end):
         if not self._start <= start <= end <= self.frame_count:
             raise ValueError(
                 f"frames [{start}, {end}) are out of order or past {self.frame_count}"
             )
-        kept = self._data[:, start - self._start :]
-        pieces = [kept] if kept.shape[1] else []
-        made = max(self._end, start)
-        while made < end:
-            pieces.append(self._next(made, end))
-            made += pieces[-1].shape[1]
-        # A lone piece is held as made, not copied: a copy would add to the
-        # peak and could change the memory layout that later steps round by.
-        self._data = np.concatenate(pieces, axis=1) if len(pieces) > 1 else (pieces or [kept])[0]
-        self._start, self._end = start, made
-        if made == self.frame_count:
+        if start >= self._end:  # no kept frame is in the range
+            self._kept, self._end = [], start
+        else:  # drop the kept frames before the latest start
+            while self._start + self._kept[0].shape[1] <= start:
+                self._start += self._kept.pop(0).shape[1]
+            self._kept[0] = self._kept[0][:, start - self._start :]
+        self._start = start
+        while self._end < end:
+            self._kept.append(self._next(self._end, end))
+            self._end += self._kept[-1].shape[1]
+        if self._end == self.frame_count:
             self._source = None
-        return self._data[:, : end - start]
+        pieces, lo = [], start
+        for piece in self._kept:
+            pieces.append(piece[:, : end - lo])
+            lo += piece.shape[1]
+            if lo >= end:
+                break
+        return tuple(pieces) or (np.empty((self.channel_count, 0, self.bins), self.dtype),)
+
+    def frames(self, start, end):
+        """Frames [start, end) as a (channels, end - start, bins) array. The
+        kept pieces are joined into one, kept in their place, so the frames
+        are held once. A lone piece is served as it is: a copy would add to
+        the peak and could change the memory layout that later steps round by."""
+        pieces = self._cover(start, end)
+        if len(self._kept) > 1:
+            self._kept = [np.concatenate(self._kept, axis=1)]
+            return self._kept[0][:, : end - start]
+        return pieces[0]
 
     def spectrogram(self):
         """All frames as one Spectrogram, made a chunk at a time."""

@@ -109,9 +109,10 @@ def separate_windows(
 ):
     """Run the separation pipeline window by window.
 
-    spec: a Spectrogram or StftFrames whose channels are the microphones of
-    geometry, in order; each window's frames are asked for through
-    spec.frames(start, end), in order, as are the provider's masks. mode
+    spec: a Spectrogram or FrameSource whose channels are the microphones
+    of geometry, in order; each window's frames are asked for in order, as
+    are the provider's masks: through spec.frames(start, end) in masking
+    mode and spec.pieces(start, end) in beamforming mode. mode
     "masking" reads only channel geometry.reference_index of them and
     applies the stitched masks to it, so spec may hold that microphone
     alone, with a one-microphone geometry. mode "beamforming" reads every
@@ -125,7 +126,11 @@ def separate_windows(
     The calling thread reads each window's masks and frames, in order, into
     a job that returns the window's masks, reference magnitude and output in
     the provider's head order (the permutation only reorders the outputs),
-    then aligns and yields the windows in order. Beamforming jobs run on
+    then aligns and yields the windows in order. A beamforming job holds
+    the window's pieces, views that the windows in flight share where they
+    overlap, so a window read ahead holds no copy of its frames (the
+    pieces of StftFrames are the frames each window adds; WpeFrames serves
+    each range as one piece). Beamforming jobs run on
     every CPU through parallel.ordered, with one window read past those
     running, so no CPU waits for the calling thread to read the next; the
     DOA steering grid they share (masks.doa_grid) is built on the calling
@@ -139,26 +144,25 @@ def separate_windows(
         raise ShapeError(f"{spec.channel_count} channels, {geometry.channel_count} microphones")
     windows = plan_windows(spec.frame_count, plan)
 
-    def jobs(job):
+    def jobs(read, job):
         emit_lo = 0  # the first window emits all its frames, later ones those past the previous
         for c, (start, end) in enumerate(windows):
             mset = normalize_masks(provider.mask_for_window(c, start, end))
-            window = Spectrogram(spec.frames(start, end), spec.config, spec.sample_rate)
-            yield functools.partial(job, window, mset, slice(emit_lo - start, end - start))
+            yield functools.partial(job, read(start, end), mset, slice(emit_lo - start, end - start))
             emit_lo = end
 
     if mode == "masking":
         job = functools.partial(_mask_unstitched, geometry.reference_index)
-        results = (run() for run in jobs(job))
+        results = (run() for run in jobs(spec.frames, job))
     else:
         # The run's one steering grid, built before any window: on this
         # thread, whose freed memory is at hand, not on a helper, whose heap
         # of its own (glibc's) would add the grid's temporaries to the peak.
-        doa_grid(geometry, spec.config.bin_frequencies(spec.sample_rate))
+        doa_grid(geometry, spec.bin_frequencies())
         job = functools.partial(
-            _beamform_unstitched, geometry, merge_threshold_deg, interference_mode
+            _beamform_unstitched, geometry, spec, merge_threshold_deg, interference_mode
         )
-        results = parallel.ordered(jobs(job))
+        results = parallel.ordered(jobs(spec.pieces, job))
     state = StitchState()
     with closing(results):
         for window_range, (mset, ref_mag, out) in zip(windows, results):
@@ -167,24 +171,29 @@ def separate_windows(
 
 
 def _mask_unstitched(ref, window, mset, emitted):
-    """One masking window in the provider's head order: its masks, its
-    reference-channel magnitude and the (2, emitted frames, bins) output."""
-    window_ref = window.data[ref]
+    """One masking window, its (channels, frames, bins) array, in the
+    provider's head order: its masks, its reference-channel magnitude and
+    the (2, emitted frames, bins) output."""
+    window_ref = window[ref]
     return mset, np.abs(window_ref), mset.speech[:, emitted] * window_ref[np.newaxis, emitted]
 
 
-def _beamform_unstitched(geometry, merge_threshold_deg, interference_mode, window, mset, emitted):
-    """One beamforming window in the provider's head order: its possibly
-    merged masks, its reference-channel magnitude and the (2, emitted
-    frames, bins) output."""
-    covs = window_covariances(window.data, mset, interference_mode)
-    merged = merge_heads_if_same_doa(
-        mset, window, geometry, merge_threshold_deg, covariances=covs
-    )
+def _beamform_unstitched(
+    geometry, spec, merge_threshold_deg, interference_mode, pieces, mset, emitted
+):
+    """One beamforming window, its spec.pieces, in the provider's head
+    order: its possibly merged masks, its reference-channel magnitude and
+    the (2, emitted frames, bins) output. The emitted frames are a view of
+    the newest piece where it holds them all, as it does for the STFT."""
+    covs = window_covariances(pieces, mset, interference_mode)
+    merged = merge_heads_if_same_doa(mset, spec, geometry, merge_threshold_deg, covariances=covs)
     if merged is not mset:
-        mset, covs = merged, window_covariances(window.data, merged, interference_mode)
-    out = beamform_window(window.data, mset, geometry.reference_index, covs, emitted)
-    return mset, np.abs(window.data[geometry.reference_index]), out
+        mset, covs = merged, window_covariances(pieces, merged, interference_mode)
+    ref, newest, count = geometry.reference_index, pieces[-1], emitted.stop - emitted.start
+    if newest.shape[1] < count:  # the emitted frames span pieces
+        newest = np.concatenate(pieces, axis=1)
+    out = beamform_window(newest[:, newest.shape[1] - count :], mset, ref, covs, emitted)
+    return mset, np.concatenate([np.abs(piece[ref]) for piece in pieces]), out
 
 
 def run_pipeline(

@@ -121,8 +121,8 @@ print(code, int(hwm.split()[1]) / 1024.0)
 """
 
 
-def _masking_peak_mb(tmp_path, seconds, rng, provider, settings=()):
-    """Peak RSS (MB) of `separate` in masking mode, in a fresh process, on
+def _separate_peak_mb(tmp_path, seconds, rng, provider, settings=(), mode="masking"):
+    """Peak RSS (MB) of `separate` in `mode`, in a fresh process, on
     `seconds` of 7-channel noise, with a random mask container ("file") or
     a truth directory of mono noise tracks ("oracle"), and the given
     KEY=VALUE config settings."""
@@ -133,8 +133,8 @@ def _masking_peak_mb(tmp_path, seconds, rng, provider, settings=()):
     samples = 0.1 * rng.standard_normal((seconds * rate, 7), dtype=np.float32)
     scipy.io.wavfile.write(mixture, rate, samples)
     del samples
-    argv = ["separate", str(mixture), str(tmp_path / f"sep_{provider}{seconds}")]
-    for setting in ("mode=masking", *settings):
+    argv = ["separate", str(mixture), str(tmp_path / f"sep_{mode}_{provider}{seconds}")]
+    for setting in (f"mode={mode}", *settings):
         argv += ["--set", setting]
     if provider == "file":
         plan, stft = WindowPlan(), StftConfig()
@@ -146,7 +146,7 @@ def _masking_peak_mb(tmp_path, seconds, rng, provider, settings=()):
         argv += ["--set", f"mask_provider=file:{masks}"]
     else:
         truth = tmp_path / f"truth{seconds}"
-        truth.mkdir()
+        truth.mkdir(exist_ok=True)
         (truth / "truth.json").write_text(json.dumps({"utterances": 2, "assignment": [0, 1]}))
         for name in ("source0", "source1", "noise_ref"):
             track = 0.1 * rng.standard_normal(seconds * rate, dtype=np.float32)
@@ -668,10 +668,15 @@ class TestSeparate:
     def test_peak_memory_does_not_grow_with_the_recording(self, tmp_path, rng):
         # a small WPE keeps the dereverberated runs to seconds
         dereverb = ("dereverb=true", "wpe_iterations=1", "wpe_context=1", "wpe_taps=2")
-        for provider, settings in (("file", ()), ("oracle", ()), ("file", dereverb)):
-            short = _masking_peak_mb(tmp_path, 20, rng, provider, settings)
-            long = _masking_peak_mb(tmp_path, 80, rng, provider, settings)
-            assert abs(long - short) < 15.0, (provider, settings, short, long)
+        for mode, provider, settings in (
+            ("masking", "file", ()),
+            ("masking", "oracle", ()),
+            ("masking", "file", dereverb),
+            ("beamforming", "oracle", ()),
+        ):
+            short = _separate_peak_mb(tmp_path, 20, rng, provider, settings, mode)
+            long = _separate_peak_mb(tmp_path, 80, rng, provider, settings, mode)
+            assert abs(long - short) < 15.0, (mode, provider, settings, short, long)
 
     @pytest.mark.parametrize("edit", BAD_TRUTH.values(), ids=BAD_TRUTH.keys())
     def test_bad_truth_metadata_is_data_error(self, tmp_path, capsys, shared_scene, edit):

@@ -191,14 +191,25 @@ def test_frames_of_random_ranges_equal_whole_signal_stft(
     x = np.random.default_rng(seed).standard_normal((channels, int(windows * config.window_size)))
     reference = whole_signal_stft(x, config)
     wave = MultichannelWave(x, 16000)
-    np.testing.assert_array_equal(analyze(wave, config).data, reference)
+    spec = analyze(wave, config)
+    np.testing.assert_array_equal(spec.data, reference)
     frames = StftFrames(wave, config)
     total = frames.frame_count
-    start = 0
+    start, previous = 0, ((0, 0), ())
     for _ in range(data.draw(st.integers(1, 6))):
         start = data.draw(st.integers(start, total))
         end = data.draw(st.integers(start, total))
-        np.testing.assert_array_equal(frames.frames(start, end), reference[:, start:end])
+        pieces = frames.pieces(start, end)
+        for source in (pieces, spec.pieces(start, end)):
+            np.testing.assert_array_equal(np.concatenate(source, axis=1), reference[:, start:end])
+        served = pieces
+        if data.draw(st.booleans()):  # the joined frames too, which the source keeps instead
+            served = (*pieces, frames.frames(start, end))
+            np.testing.assert_array_equal(served[-1], reference[:, start:end])
+        (prev_start, prev_end), prev_served = previous
+        if max(start, prev_start) < min(end, prev_end):  # the frames both hold are one memory
+            assert any(np.shares_memory(a, b) for a in pieces for b in prev_served)
+        previous = (start, end), served
 
 
 @settings(max_examples=100, deadline=None)

@@ -23,7 +23,7 @@ from unmix.masks import (
 )
 from unmix.metrics import si_sdr
 from unmix.signal_io import circular_array
-from unmix.stft import Spectrogram, StftConfig, synthesize
+from unmix.stft import FrameSource, Spectrogram, StftConfig, synthesize
 from unmix.stitcher import (
     StitchState,
     WindowPlan,
@@ -589,6 +589,27 @@ class TestBeamformingPipeline:
         assert threading.active_count() == threads
         if calls:
             assert calls[0]() == before
+
+
+    # Pieces of one frame are left out: numpy joins them in another memory
+    # layout, (bins, channels, frames), in which apply_weights rounds otherwise.
+    @pytest.mark.parametrize("chunk", [2, 7, 50, 420])
+    def test_windows_read_as_pieces_equal_windows_of_one_array(self, scene, chunk):
+        mixture, refs, geometry = scene
+        # the layout the STFT makes (channel innermost), which joined pieces keep
+        data = np.ascontiguousarray(np.transpose(mixture.data, (1, 2, 0))).transpose(2, 0, 1)
+        mixture = Spectrogram(data, mixture.config, mixture.sample_rate)
+
+        class Chunks(FrameSource):  # makes its frames `chunk` at a time, past the range asked
+            def _next(self, lo, end):
+                return self._source.data[:, lo : lo + chunk]
+
+        chunks = Chunks(mixture, mixture.config, mixture.frame_count)
+        pieced = self._windows((chunks, refs, geometry), 2, _oracle_provider(mixture, refs))
+        whole = self._windows((mixture, refs, geometry), 2)
+        assert [w[:2] for w in pieced] == [w[:2] for w in whole]
+        for (_, _, got), (_, _, expected) in zip(pieced, whole):
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestMaskingPipeline:
