@@ -21,33 +21,40 @@ def sig_cov(window_data, masks):
     window_data: (J, frames, bins) complex, or the caller's sequence of
     (J, n, bins) pieces whose frames, in order, are the window's
     (FrameSource.pieces); masks: float (..., frames, bins) in [0, 1], e.g. a
-    stack of H heads. Returns (..., bins, J, J). Per head and frequency:
-    Phi_f = sum_t (m x)(m x)^H / max(sum_t m^2, eps), i.e. the mask is
-    applied to the signal before the outer product. Per band of _BAND_BINS
-    bins it is one batched matmul (m^2 x) @ x^H on the band's C-order (Fb,
-    J, frames) copy, filled piece by piece, whose conjugated side is shared
-    by the whole stack; the bands bound the (..., bins, J, frames)
-    temporary, and neither they nor the split change the output. An empty
+    stack of H heads, or a sequence of (n, frames, bins) stacks that stand
+    for their concatenation, without a copy of it. Returns (..., bins, J,
+    J). Per head and frequency: Phi_f = sum_t (m x)(m x)^H / max(sum_t m^2,
+    eps), i.e. the mask is applied to the signal before the outer product.
+    Per band of _BAND_BINS bins it is one batched matmul (m^2 x) @ x^H on
+    the band's C-order (Fb, J, frames) copy, filled piece by piece, whose
+    conjugated side is shared by the whole stack; the masks are squared and
+    summed a band at a time. The bands bound the (..., bins, J, frames)
+    temporary, and neither they nor the splits change the output. An empty
     mask yields zero matrices.
     """
     pieces = (window_data,) if isinstance(window_data, np.ndarray) else window_data
+    stacks = (masks,) if isinstance(masks, np.ndarray) else masks
     j, _, bins = pieces[0].shape
     frames = sum(piece.shape[1] for piece in pieces)
-    if masks.shape[-2:] != (frames, bins):
+    if any(stack.shape[-2:] != (frames, bins) for stack in stacks):
         raise ShapeError("masks must align with window frames x bins")
-    power = masks**2
-    weight = np.swapaxes(power, -1, -2)[..., np.newaxis, :]  # (..., F, 1, T)
-    denom = np.maximum(np.sum(power, axis=-2), EPS)[..., np.newaxis, np.newaxis]  # (..., F, 1, 1)
-    out = np.empty(masks.shape[:-2] + (bins, j, j), dtype=np.complex128)
-    for lo in range(0, bins, _BAND_BINS):
-        band = slice(lo, lo + _BAND_BINS)
-        x = np.empty((min(_BAND_BINS, bins - lo), j, frames), np.complex128)  # (Fb, J, T)
+    heads = stacks[0].shape[:-2] if len(stacks) == 1 else (sum(len(stack) for stack in stacks),)
+    out = np.empty(heads + (bins, j, j), dtype=np.complex128)
+    # a lone last bin (the Nyquist bin, of 257) joins the band before: np.sum
+    # adds the frames of a one-bin band pairwise, of a wider one in order
+    starts = range(0, max(bins - 1, 1), _BAND_BINS)
+    for lo, hi in zip(starts, [*starts[1:], bins]):
+        band = slice(lo, hi)
+        x = np.empty((hi - lo, j, frames), np.complex128)  # (Fb, J, T)
         t = 0
         for piece in pieces:
             x[:, :, t : t + piece.shape[1]] = np.transpose(piece[:, :, band], (2, 0, 1))
             t += piece.shape[1]
-        num = (weight[..., band, :, :] * x) @ np.swapaxes(np.conj(x), -1, -2)  # (..., Fb, J, J)
-        out[..., band, :, :] = num / denom[..., band, :, :]
+        power = np.square(np.concatenate([stack[..., band] for stack in stacks]))  # (..., T, Fb)
+        weight = np.swapaxes(power, -1, -2)[..., np.newaxis, :]  # (..., Fb, 1, T)
+        num = (weight * x) @ np.swapaxes(np.conj(x), -1, -2)  # (..., Fb, J, J)
+        denom = np.maximum(np.sum(power, axis=-2), EPS)  # (..., Fb)
+        out[..., band, :, :] = num / denom[..., np.newaxis, np.newaxis]
     return out
 
 
@@ -75,10 +82,10 @@ def window_covariances(window_data, mask_set, interference_mode="ssn"):
     """
     speech = mask_set.speech
     if interference_mode == "ssn":
-        cov = sig_cov(window_data, np.concatenate([speech, mask_set.noise[np.newaxis]]))
+        cov = sig_cov(window_data, (speech, mask_set.noise[np.newaxis]))
         psi = cov[[1, 0]] + cov[2]
     elif interference_mode == "complement":
-        cov = sig_cov(window_data, np.concatenate([speech, 1.0 - speech]))
+        cov = sig_cov(window_data, (speech, 1.0 - speech))
         psi = cov[2:]
     else:
         raise ValueError(f"unknown interference_mode {interference_mode!r}")

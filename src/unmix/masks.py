@@ -86,9 +86,12 @@ _doa_grid_cache = {}  # holds only the latest (positions, frequencies) entry
 
 def doa_grid(geometry, freqs):
     """What DOA estimation matches against, for bin frequencies freqs (Hz):
-    the mask of the bins in DOA_BAND_HZ, the azimuth grid, and the
-    conjugated steering vectors of those bins, scaled to unit norm and laid
-    out contiguously as (Fb, A, J).
+    the mask of the bins in DOA_BAND_HZ, the azimuth grid of the full
+    circle, every DOA_GRID_DEG, and the conjugated steering vectors of those
+    bins for the azimuths in [0, 180) alone, scaled to unit norm and laid
+    out contiguously as (Fb, A / 2, J). Those of the other half are not
+    held: a plane wave from azimuth + 180 has the negated delays, so its
+    steering vectors are the complex conjugates.
 
     Every window of a run asks for the same geometry and frequencies, so the
     latest grid is kept and rebuilt only when one of them changes. Windows
@@ -100,7 +103,10 @@ def doa_grid(geometry, freqs):
     if grid is None:
         band = (freqs >= DOA_BAND_HZ[0]) & (freqs <= DOA_BAND_HZ[1])
         azimuths = np.arange(0.0, 360.0, DOA_GRID_DEG)
-        steer = steering_vectors(geometry, freqs[band], azimuths)
+        half = len(azimuths) // 2
+        if half * DOA_GRID_DEG != 180.0:
+            raise ValueError(f"DOA_GRID_DEG = {DOA_GRID_DEG} does not divide 180")
+        steer = steering_vectors(geometry, freqs[band], azimuths[:half])
         steer /= np.sqrt(steer.shape[2])  # in place: the layout change below copies
         np.conj(steer, out=steer)
         steer_conj = np.ascontiguousarray(np.swapaxes(steer, 0, 1))
@@ -116,15 +122,19 @@ def doa_from_eigenvectors(vector, freqs, geometry):
     principal eigenvectors `vector` (..., bins, J), as principal_pair
     returns them; freqs: (bins,) in Hz.
 
-    Per frequency bin in DOA_BAND_HZ, the principal eigenvector is matched
+    Per frequency bin in DOA_BAND_HZ, the principal eigenvector v is matched
     against far-field steering vectors every DOA_GRID_DEG degrees; match
-    scores are summed over the band and the argmax azimuth returned: a float
-    for one source, an array of the leading shape for a stack.
+    scores are summed over the band and the argmax azimuth returned (the
+    lowest of equal scores): a float for one source, an array of the
+    leading shape for a stack. v and conj(v) are matched against doa_grid's
+    half circle in one matmul: |s(a + 180)^H v| = |s(a)^H conj(v)|, so the
+    conj(v) scores are those of [180, 360).
     """
     band, azimuths, steer_conj = doa_grid(geometry, freqs)
-    match = steer_conj @ vector[..., band, :, np.newaxis]  # (..., Fb, A, 1)
-    scores = np.abs(match[..., 0]) ** 2
-    doa = azimuths[np.argmax(scores.sum(axis=-2), axis=-1)]
+    in_band = vector[..., band, :]
+    match = steer_conj @ np.stack([in_band, np.conj(in_band)], axis=-1)  # (..., Fb, A / 2, 2)
+    scores = (np.abs(match) ** 2).sum(axis=-3)
+    doa = azimuths[np.argmax(np.concatenate([scores[..., 0], scores[..., 1]], axis=-1), axis=-1)]
     return float(doa) if doa.ndim == 0 else doa
 
 

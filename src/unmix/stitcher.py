@@ -12,7 +12,7 @@ from .beamformer import beamform_window, window_covariances
 from .errors import InsufficientInputError, ShapeError
 from .masks import DOA_MERGE_THRESHOLD_DEG, doa_grid, merge_heads_if_same_doa, normalize_masks
 from .pit import PERMUTATIONS, alignment_cost, permute_heads
-from .stft import Spectrogram
+from .stft import Spectrogram, join
 
 
 @dataclass
@@ -134,7 +134,10 @@ def separate_windows(
     every CPU through parallel.ordered, with one window read past those
     running, so no CPU waits for the calling thread to read the next; the
     DOA steering grid they share (masks.doa_grid) is built on the calling
-    thread before the first window is read. Masking jobs, each a small
+    thread, whose freed memory is at hand (a helper's own glibc heap would
+    add the grid's temporaries to the peak), once the first window's frames
+    are read and before its job is queued: with a WpeFrames spec, after WPE's
+    first solve has let go of its input frames. Masking jobs, each a small
     product, run on the calling thread: each helper's own heap would add to
     the peak.
     """
@@ -155,14 +158,17 @@ def separate_windows(
         job = functools.partial(_mask_unstitched, geometry.reference_index)
         results = (run() for run in jobs(spec.frames, job))
     else:
-        # The run's one steering grid, built before any window: on this
-        # thread, whose freed memory is at hand, not on a helper, whose heap
-        # of its own (glibc's) would add the grid's temporaries to the peak.
-        doa_grid(geometry, spec.bin_frequencies())
+
+        def read(start, end):
+            pieces = spec.pieces(start, end)
+            if start == 0:  # the first window: the grid takes what its read let go
+                doa_grid(geometry, spec.bin_frequencies())
+            return pieces
+
         job = functools.partial(
             _beamform_unstitched, geometry, spec, merge_threshold_deg, interference_mode
         )
-        results = parallel.ordered(jobs(spec.pieces, job))
+        results = parallel.ordered(jobs(read, job))
     state = StitchState()
     with closing(results):
         for window_range, (mset, ref_mag, out) in zip(windows, results):
@@ -191,7 +197,7 @@ def _beamform_unstitched(
         mset, covs = merged, window_covariances(pieces, merged, interference_mode)
     ref, newest, count = geometry.reference_index, pieces[-1], emitted.stop - emitted.start
     if newest.shape[1] < count:  # the emitted frames span pieces
-        newest = np.concatenate(pieces, axis=1)
+        newest = join(pieces)
     out = beamform_window(newest[:, newest.shape[1] - count :], mset, ref, covs, emitted)
     return mset, np.concatenate([np.abs(piece[ref]) for piece in pieces]), out
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unmix import beamformer
 from unmix.beamformer import (
     apply_weights,
     beamform_window,
@@ -125,6 +126,51 @@ class TestSigCov:
         cuts = sorted(data.draw(st.lists(st.integers(0, frames), max_size=5)))
         pieces = [window[:, lo:hi] for lo, hi in zip([0, *cuts], [*cuts, frames])]
         np.testing.assert_array_equal(sig_cov(pieces, masks), sig_cov(window, masks))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        j=st.integers(1, 7),
+        frames=st.integers(1, 40),
+        bins_=st.integers(1, 40),
+        channel_innermost=st.booleans(),
+        data=st.data(),
+    )
+    def test_mask_stacks_give_the_covariances_of_their_concatenation(
+        self, seed, j, frames, bins_, channel_innermost, data
+    ):
+        rng = np.random.default_rng(seed)
+        window = rng.standard_normal((j, frames, bins_)) + 1j * rng.standard_normal(
+            (j, frames, bins_)
+        )
+        if channel_innermost:  # the layout of the frames the STFT makes
+            window = np.ascontiguousarray(np.transpose(window, (1, 2, 0))).transpose(2, 0, 1)
+        speech, noise = rng.uniform(0, 1, (2, frames, bins_)), rng.uniform(0, 1, (frames, bins_))
+        stacked = np.concatenate([speech, noise[np.newaxis]])
+        cuts = sorted(data.draw(st.lists(st.integers(0, frames), max_size=5)))
+        pieces = [window[:, lo:hi] for lo, hi in zip([0, *cuts], [*cuts, frames])]
+        expected = _sig_cov_of_whole_squares(window, stacked)
+        np.testing.assert_array_equal(sig_cov(window, stacked), expected)
+        for frames_in in (window, pieces):
+            got = sig_cov(frames_in, (speech, noise[np.newaxis]))
+            np.testing.assert_array_equal(got, expected)
+
+
+def _sig_cov_of_whole_squares(window, masks):
+    """sig_cov of one (J, frames, bins) window and a (..., frames, bins)
+    stack, with the masks squared and summed whole ahead of the band loop:
+    squaring them band by band must give the same bits."""
+    j, _, bins_ = window.shape
+    power = masks**2
+    weight = np.swapaxes(power, -1, -2)[..., np.newaxis, :]  # (..., F, 1, T)
+    denom = np.maximum(np.sum(power, axis=-2), 1e-10)[..., np.newaxis, np.newaxis]
+    x = np.ascontiguousarray(np.transpose(window, (2, 0, 1)))  # (F, J, T)
+    out = np.empty(masks.shape[:-2] + (bins_, j, j), dtype=np.complex128)
+    for lo in range(0, bins_, beamformer._BAND_BINS):
+        band = slice(lo, lo + beamformer._BAND_BINS)
+        num = (weight[..., band, :, :] * x[band]) @ np.swapaxes(np.conj(x[band]), -1, -2)
+        out[..., band, :, :] = num / denom[..., band, :, :]
+    return out
 
 
 class TestMvdrWeights:

@@ -673,6 +673,7 @@ class TestSeparate:
             ("masking", "oracle", ()),
             ("masking", "file", dereverb),
             ("beamforming", "oracle", ()),
+            ("beamforming", "oracle", dereverb),
         ):
             short = _separate_peak_mb(tmp_path, 20, rng, provider, settings, mode)
             long = _separate_peak_mb(tmp_path, 80, rng, provider, settings, mode)

@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 from unmix.beamformer import window_covariances
 from unmix.errors import NoSignalError, ShapeError
 from unmix.masks import (
+    DOA_BAND_HZ,
+    DOA_GRID_DEG,
     EPS,
     MaskSet,
     OracleMaskProvider,
     circular_difference_deg,
     doa_from_eigenvectors,
+    doa_grid,
     estimate_doa,
     merge_heads_if_same_doa,
     normalize_masks,
@@ -322,6 +325,55 @@ class TestDoa:
         covs = window_covariances(spec.data, mset, mode)
         shared = doa_from_eigenvectors(covs.vector, spec.bin_frequencies(), geometry)
         np.testing.assert_array_equal(shared, estimate_doa(mset.speech, spec, geometry))
+
+    def test_the_grid_holds_half_the_circle(self, geometry, monkeypatch):
+        monkeypatch.setattr("unmix.masks._doa_grid_cache", {})
+        band, azimuths, steer_conj = doa_grid(geometry, StftConfig().bin_frequencies(16000))
+        assert steer_conj.shape == (np.count_nonzero(band), 180, geometry.channel_count)
+        assert len(azimuths) == 360
+        monkeypatch.setattr("unmix.masks._doa_grid_cache", {})
+        monkeypatch.setattr("unmix.masks.DOA_GRID_DEG", 7.0)
+        with pytest.raises(ValueError, match="divide 180"):
+            doa_grid(geometry, StftConfig().bin_frequencies(16000))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        stack=st.sampled_from([(), (1,), (2,), (3, 2)]),
+        kind=st.sampled_from(["random", "plane_wave"]),
+        circular=st.booleans(),
+    )
+    def test_matches_a_full_circle_of_steering_vectors(self, seed, stack, kind, circular):
+        rng = np.random.default_rng(seed)
+        geometry = circular_array()
+        if not circular:  # any planar array: another seven microphones within 10 cm
+            geometry = ArrayGeometry(positions=rng.uniform(-0.1, 0.1, (7, 3)))
+        freqs = StftConfig().bin_frequencies(16000)
+        shape = stack + (len(freqs), geometry.channel_count)
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if kind == "random":
+            vector = noise
+        else:  # unit plane waves from anywhere on the circle, a phase per bin, and noise
+            azimuth = rng.uniform(0.0, 360.0, stack)
+            steer = steering_vectors(geometry, freqs, azimuth.reshape(-1))
+            steer = steer.reshape(shape) / np.sqrt(geometry.channel_count)
+            phase = np.exp(2j * np.pi * rng.uniform(size=shape[:-1] + (1,)))
+            vector = steer * phase + rng.uniform(0.0, 0.5) * noise / geometry.channel_count
+        expected = _full_circle_doa(vector, freqs, geometry)
+        np.testing.assert_array_equal(doa_from_eigenvectors(vector, freqs, geometry), expected)
+
+
+def _full_circle_doa(vector, freqs, geometry):
+    """doa_from_eigenvectors matched against a steering vector for every
+    grid azimuth of the full circle, each computed on its own."""
+    band = (freqs >= DOA_BAND_HZ[0]) & (freqs <= DOA_BAND_HZ[1])
+    azimuths = np.arange(0.0, 360.0, DOA_GRID_DEG)
+    steer = steering_vectors(geometry, freqs[band], azimuths) / np.sqrt(geometry.channel_count)
+    steer_conj = np.ascontiguousarray(np.swapaxes(np.conj(steer), 0, 1))  # (Fb, A, J)
+    match = steer_conj @ vector[..., band, :, np.newaxis]
+    scores = np.abs(match[..., 0]) ** 2
+    doa = azimuths[np.argmax(scores.sum(axis=-2), axis=-1)]
+    return float(doa) if doa.ndim == 0 else doa
 
 
 class TestMergeHeads:

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import unmix.dereverb
 import unmix.masks
 import unmix.parallel
 import unmix.stitcher
 from unmix import beamformer
 from unmix.beamformer import beamform_window, window_covariances
+from unmix.dereverb import WpeConfig, WpeFrames
 from unmix.errors import InsufficientInputError, ShapeError
 from unmix.masks import (
     ChannelSwappingProvider,
@@ -551,6 +553,35 @@ class TestBeamformingPipeline:
         assert built == [(True, False)]
         assert any(name.startswith("unmix-worker") for name in begun)
 
+    def test_with_dereverb_the_grid_is_built_after_the_first_wpe_solve(
+        self, scene, monkeypatch
+    ):
+        mixture, refs, geometry = scene
+        events = []
+        wpe_block, steering = unmix.dereverb.wpe_block, unmix.masks.steering_vectors
+        beamform = unmix.stitcher._beamform_unstitched
+
+        def recording(name, function):
+            def call(*args):
+                result = function(*args)
+                events.append(name)  # when the call returns
+                return result
+
+            return call
+
+        monkeypatch.setattr(unmix.dereverb, "wpe_block", recording("wpe", wpe_block))
+        monkeypatch.setattr(unmix.masks, "steering_vectors", recording("grid", steering))
+        monkeypatch.setattr(unmix.masks, "_doa_grid_cache", {})
+        monkeypatch.setattr(
+            unmix.stitcher,
+            "_beamform_unstitched",
+            lambda *args: events.append("window") or beamform(*args),
+        )
+        wpe = WpeFrames(mixture, WpeConfig(taps=2, iterations=1))  # a first solve of 250 frames
+        self._windows((wpe, refs, geometry), 2, _oracle_provider(mixture, refs))
+        assert events[:3] == ["wpe", "grid", "window"]
+        assert events.count("grid") == 1
+
     def test_error_in_a_helper_window_reaches_the_caller(self, scene, monkeypatch):
         threads = threading.active_count()
         mixture, refs, _ = scene
@@ -590,10 +621,7 @@ class TestBeamformingPipeline:
         if calls:
             assert calls[0]() == before
 
-
-    # Pieces of one frame are left out: numpy joins them in another memory
-    # layout, (bins, channels, frames), in which apply_weights rounds otherwise.
-    @pytest.mark.parametrize("chunk", [2, 7, 50, 420])
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 50, 420])
     def test_windows_read_as_pieces_equal_windows_of_one_array(self, scene, chunk):
         mixture, refs, geometry = scene
         # the layout the STFT makes (channel innermost), which joined pieces keep
